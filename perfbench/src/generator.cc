@@ -4,10 +4,13 @@
 // set-up is timed from process start to the first OK response.
 //
 // A run: untimed prep (checkpoint, and the click journal on
-// click_feedback) -> several timed server set-ups -> warm-up -> rate
-// ladder -> fixed nominal rate -> fixed overload rate -> click stream or
-// probe -> output checks. Every request is timed from its scheduled send
-// time. The last stdout line is the JSON result.
+// click_feedback) -> timed server set-ups -> warm-up -> rate ladder ->
+// fixed nominal rate -> fixed overload rate -> more timed set-ups -> output
+// checks. The read-only workloads' click probe runs in parts between the
+// phases. On click_feedback the ladder runs beside an open-ended click
+// stream, and the two fixed-rate phases beside a fixed-count one that
+// starts with the nominal phase. Every request is timed from its scheduled
+// send time. The last stdout line is the JSON result.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -47,11 +50,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr int kSetups = 3;
+/// Timed set-ups per run, kSetupsBefore of them before the load.
+constexpr int kSetups = 9;
+constexpr int kSetupsBefore = 5;
 constexpr int64_t kCaptureSample = 256;
-/// Clicks of the read-only workloads' click probe, paced like the
-/// click_feedback stream on a journaled store of its own after the load.
-constexpr int64_t kClickProbeCount = 12500;
+/// The read-only workloads' click probe, paced like the click_feedback
+/// stream on a journaled store of its own: kClickProbeParts parts of
+/// kClickProbePart clicks, one before the ladder, one after it and one after
+/// the overload phase, so a host that is busy for a few seconds moves one
+/// part. A part is a whole number of kClickChunk.
+constexpr int64_t kClickProbePart = 4000;
+constexpr int kClickProbeParts = 3;
+static_assert(kClickProbePart % kClickChunk == 0);
 /// The generator is judged unable to hold its schedule (run invalid) when
 /// its median send lateness exceeds this. The median, not the tail: on a
 /// virtual machine the host deschedules vCPUs for milliseconds at a time,
@@ -66,6 +76,11 @@ constexpr double kWarmupShare = 0.04;
 constexpr double kStepShare = 0.06;
 constexpr double kNominalShare = 0.2;
 constexpr double kOverloadShare = 0.2;
+/// Seeded click streams of click_feedback: an open-ended one beside the
+/// ladder (stopped when the next starts; its acks are not reported) and the
+/// fixed-count one beside the two fixed-rate phases.
+constexpr int kLadderClickStream = 1;
+constexpr int kLoadClickStream = 2;
 /// Every phase is cut into windows of kWindowShare * --seconds (at least
 /// kMinWindow requests: a p90 then has 20 samples beyond it), and the host's
 /// CPU steal is read at each window boundary. A p99 uses windows grouped to
@@ -610,31 +625,37 @@ int RunGenerator(const GeneratorOptions& opt) {
   }
 
   // ---- timed set-ups: process start -> first OK response -----------------
+  // kSetupsBefore set-ups run before the load, and the last of their servers
+  // serves it; the rest run after the load. A host that is busy for a few
+  // seconds then moves some of the samples, not their median.
   std::vector<double> setup_s;
-  std::unique_ptr<ServerProcess> server;
-  std::vector<Connection> conns;
-  for (int k = 0; k < kSetups; ++k) {
-    const std::string journal = opt.workdir + "/journal_" + std::to_string(k);
+  auto journal_of = [&](int k) {
+    return opt.workdir + "/journal_" + std::to_string(k);
+  };
+  // Spawns a server, connects kConnections to it (into `out`) and times the
+  // first OK response; nullptr on failure.
+  auto timed_setup = [&](int k, std::vector<Connection>* out)
+      -> std::unique_ptr<ServerProcess> {
+    const std::string journal = journal_of(k);
     if (workload->click_stream) {
       fs::copy(prep_journal, journal, fs::copy_options::recursive, ec);
       if (ec) {
         std::fprintf(stderr, "journal copy failed\n");
-        return 1;
+        return nullptr;
       }
     }
-    server = std::make_unique<ServerProcess>();
-    conns.clear();
+    auto srv = std::make_unique<ServerProcess>();
+    out->clear();
     const int64_t t0 = NowNanos();
-    Status spawned = server->Spawn({opt.self_path, "server", workload->name,
-                                    checkpoint, journal,
-                                    std::to_string(opt.seed)});
+    Status spawned = srv->Spawn({opt.self_path, "server", workload->name,
+                                 checkpoint, journal, std::to_string(opt.seed)});
     StatusOr<std::string> ready =
-        spawned.ok() ? server->ReadLine(120000) : StatusOr<std::string>(spawned);
+        spawned.ok() ? srv->ReadLine(120000) : StatusOr<std::string>(spawned);
     if (!ready.ok() || ready.value().rfind("READY ", 0) != 0) {
       std::fprintf(stderr, "server did not start: %s\n",
                    ready.ok() ? ready.value().c_str()
                               : ready.status().ToString().c_str());
-      return 1;
+      return nullptr;
     }
     const uint16_t port =
         static_cast<uint16_t>(std::stoi(ready.value().substr(6)));
@@ -643,10 +664,10 @@ int RunGenerator(const GeneratorOptions& opt) {
           net::TcpConnection::Connect("127.0.0.1", port);
       if (!tcp.ok()) {
         std::fprintf(stderr, "connect: %s\n", tcp.status().ToString().c_str());
-        return 1;
+        return nullptr;
       }
-      conns.emplace_back();
-      conns.back().tcp = std::move(tcp).value();
+      out->emplace_back();
+      out->back().tcp = std::move(tcp).value();
     }
     // First OK response: one probe request, blocking, on connection 0.
     net::RpcRequest probe;
@@ -657,31 +678,45 @@ int RunGenerator(const GeneratorOptions& opt) {
     probe.request.request_id = 0;
     probe.deadline_micros = 1000000;
     std::vector<uint8_t> frame = net::EncodeRequestFrame(probe);
-    bool ok = conns[0].tcp.WriteAll(frame.data(), frame.size()).ok();
+    net::TcpConnection& tcp = (*out)[0].tcp;
+    bool ok = tcp.WriteAll(frame.data(), frame.size()).ok();
     uint8_t header_bytes[net::kFrameHeaderBytes];
     net::FrameHeader header;
-    ok = ok && conns[0].tcp.ReadAll(header_bytes, sizeof(header_bytes)).ok() &&
+    ok = ok && tcp.ReadAll(header_bytes, sizeof(header_bytes)).ok() &&
          net::DecodeFrameHeader(header_bytes, sizeof(header_bytes), &header).ok();
     std::vector<uint8_t> payload(ok ? header.payload_size : 0);
     net::RpcResponse response;
-    ok = ok && conns[0].tcp.ReadAll(payload.data(), payload.size()).ok() &&
+    ok = ok && tcp.ReadAll(payload.data(), payload.size()).ok() &&
          net::DecodeResponsePayload(payload.data(), payload.size(), &response)
              .ok() &&
          response.code == StatusCode::kOk;
     const int64_t t1 = NowNanos();
     if (!ok) {
       std::fprintf(stderr, "set-up probe failed\n");
-      return 1;
+      return nullptr;
     }
     setup_s.push_back(static_cast<double>(t1 - t0) / 1e9);
-    if (k + 1 < kSetups) {
-      conns.clear();
-      StatusOr<std::map<std::string, double>> bye = server->Quit();
-      if (!bye.ok()) {
-        std::fprintf(stderr, "server quit: %s\n", bye.status().ToString().c_str());
-        return 1;
-      }
-      fs::remove_all(journal, ec);
+    return srv;
+  };
+  // Stops a set-up's server and removes its journal copy.
+  auto end_setup = [&](int k, std::unique_ptr<ServerProcess> srv,
+                       std::vector<Connection>* c) {
+    c->clear();
+    StatusOr<std::map<std::string, double>> bye = srv->Quit();
+    if (!bye.ok()) {
+      std::fprintf(stderr, "server quit: %s\n", bye.status().ToString().c_str());
+      return false;
+    }
+    fs::remove_all(journal_of(k), ec);
+    return true;
+  };
+  std::unique_ptr<ServerProcess> server;
+  std::vector<Connection> conns;
+  for (int k = 0; k < kSetupsBefore; ++k) {
+    server = timed_setup(k, &conns);
+    if (server == nullptr) return 1;
+    if (k + 1 < kSetupsBefore && !end_setup(k, std::move(server), &conns)) {
+      return 1;
     }
   }
   for (Connection& c : conns) {
@@ -711,15 +746,36 @@ int RunGenerator(const GeneratorOptions& opt) {
     return r;
   };
 
+  // One part of the read-only workloads' click probe.
+  std::map<std::string, double> click_stats;
+  auto probe_clicks = [&]() {
+    if (workload->click_stream) return true;
+    StatusOr<std::string> probed = server->Command(
+        "click_probe " + std::to_string(kClickProbePart) + " " +
+        std::to_string(kClickRate) + " " + opt.workdir + "/journal_probe");
+    if (!probed.ok() || probed.value().rfind("PROBE", 0) != 0) return false;
+    click_stats = ParseKeyValues(probed.value());
+    return true;
+  };
+
   std::vector<PhaseResult> all_phases;
   all_phases.push_back(
       run_phase(workload->nominal_qps, kWarmupShare * S, nullptr, nullptr));
+  if (!probe_clicks()) return 1;
 
-  const int64_t clicks_total = std::llround(kClickRate * 0.6 * S);
-  if (workload->click_stream) {
-    StatusOr<std::string> started = server->Command(
-        "clicks " + std::to_string(clicks_total) + " " + std::to_string(kClickRate));
-    if (!started.ok()) return 1;
+  // Starts click stream `stream` (click_feedback only); returns false when
+  // the server did not acknowledge it.
+  auto start_clicks = [&](int64_t count, int stream) {
+    if (!workload->click_stream) return true;
+    StatusOr<std::string> started =
+        server->Command("clicks " + std::to_string(count) + " " +
+                        std::to_string(kClickRate) + " " + std::to_string(stream));
+    return started.ok() && started.value() == "OK";
+  };
+  // The ladder's length varies from run to run; its stream outlasts any
+  // ladder and is stopped when the fixed-count stream starts.
+  if (!start_clicks(std::llround(kClickRate * 4 * S), kLadderClickStream)) {
+    return 1;
   }
 
   // Ladder: from the nominal rate, coarse x1.25 steps up until one fails
@@ -769,6 +825,8 @@ int RunGenerator(const GeneratorOptions& opt) {
     }
   }
 
+  if (!probe_clicks()) return 1;
+
   // Nominal: fixed rate, with a seeded sample of responses captured for the
   // bit-identity check.
   std::vector<serving::Request> nominal_reqs;
@@ -784,13 +842,20 @@ int RunGenerator(const GeneratorOptions& opt) {
       capture[first_id + static_cast<int32_t>(pick.NextUint64(n))] = 1;
     }
   }
+  // The fixed-count click stream lasts as long as the two fixed-rate
+  // phases' send windows, so every run makes the same clicks beside them.
+  const int64_t clicks_total =
+      std::llround(kClickRate * (kNominalShare + kOverloadShare) * S);
+  if (!start_clicks(clicks_total, kLoadClickStream)) return 1;
+  const int64_t clicks_start_ns = NowNanos();
   PhaseResult nominal = run_phase(workload->nominal_qps, kNominalShare * S,
                                   &capture, &nominal_reqs);
   PhaseResult overload =
       run_phase(workload->overload_qps, kOverloadShare * S, nullptr, nullptr);
+  const double load_s = static_cast<double>(NowNanos() - clicks_start_ns) / 1e9;
 
   // ---- clicks ------------------------------------------------------------------
-  std::map<std::string, double> click_stats;
+  double click_overlap = 0.0;
   if (workload->click_stream) {
     const int64_t give_up = NowNanos() + 120LL * 1000000000;
     while (NowNanos() < give_up) {
@@ -800,13 +865,12 @@ int RunGenerator(const GeneratorOptions& opt) {
       if (Get(click_stats, "clicks.done") >= static_cast<double>(clicks_total)) break;
       usleep(100000);
     }
-  } else {
-    StatusOr<std::string> probed =
-        server->Command("click_probe " + std::to_string(kClickProbeCount) + " " +
-                        std::to_string(kClickRate) + " " + opt.workdir +
-                        "/journal_probe");
-    if (!probed.ok() || probed.value().rfind("PROBE", 0) != 0) return 1;
-    click_stats = ParseKeyValues(probed.value());
+    // Share of the click stream's span that ran beside the two fixed-rate
+    // phases (from the nominal phase's start to the overload phase's end).
+    const double click_s = Get(click_stats, "clicks.seconds");
+    click_overlap = click_s > 0 ? std::min(click_s, load_s) / click_s : 0.0;
+  } else if (!probe_clicks()) {
+    return 1;
   }
   conns.clear();
   StatusOr<std::map<std::string, double>> final_stats = server->Quit();
@@ -816,6 +880,11 @@ int RunGenerator(const GeneratorOptions& opt) {
     return 1;
   }
   server.reset();
+  for (int k = kSetupsBefore; k < kSetups; ++k) {
+    std::vector<Connection> c;
+    std::unique_ptr<ServerProcess> extra = timed_setup(k, &c);
+    if (extra == nullptr || !end_setup(k, std::move(extra), &c)) return 1;
+  }
 
   // ---- output checks -----------------------------------------------------------
   all_phases.push_back(nominal);
@@ -937,7 +1006,10 @@ int RunGenerator(const GeneratorOptions& opt) {
     valid = false;
     why_invalid = "too few slates verified";
   }
-  if (click_p99 <= 0.0) {
+  const int64_t clicks_expected =
+      workload->click_stream ? clicks_total : kClickProbeParts * kClickProbePart;
+  if (click_p99 <= 0.0 ||
+      Get(click_stats, "clicks.done") != static_cast<double>(clicks_expected)) {
     valid = false;
     why_invalid = "click stream incomplete";
   }
@@ -951,9 +1023,11 @@ int RunGenerator(const GeneratorOptions& opt) {
     }
     return out;
   };
-  std::fprintf(stderr, "workload %s seed %llu: setup %.3f s (median of %d)\n",
+  std::fprintf(stderr, "workload %s seed %llu: setup %.4f s (median of %d:",
                workload->name, static_cast<unsigned long long>(opt.seed),
                Median(setup_s), kSetups);
+  for (double s : setup_s) std::fprintf(stderr, " %.4f", s);
+  std::fprintf(stderr, ")\n");
   std::fprintf(stderr, "  ladder: %d steps, max_qps_at_slo %.0f req/s\n",
                ladder_steps, max_qps);
   std::fprintf(stderr,
@@ -978,11 +1052,18 @@ int RunGenerator(const GeneratorOptions& opt) {
                static_cast<long long>(overload.deadline_exceeded),
                list(over_windows).c_str(), whole_over_p99 / 1e3,
                overload.ok_latency_us.size());
+  std::fprintf(stderr, "  clicks: ack p99 %.2f us over %.0f clicks", click_p99,
+               Get(click_stats, "clicks.done"));
+  if (workload->click_stream) {
+    std::fprintf(stderr,
+                 " in %.2f s, %.1f%% of them beside the %.2f s of fixed-rate load",
+                 Get(click_stats, "clicks.seconds"), 100.0 * click_overlap, load_s);
+  } else {
+    std::fprintf(stderr, " (probe in %d parts)", kClickProbeParts);
+  }
   std::fprintf(stderr,
-               "  clicks: ack p99 %.2f us over %.0f clicks; peak rss %.1f MB; "
-               "generator lateness p50 %.1f us p99 %.1f us\n",
-               click_p99, Get(click_stats, "clicks.done"), rss_mb,
-               late_p50.value_or(-1), late_p99.value_or(-1));
+               "; peak rss %.1f MB; generator lateness p50 %.1f us p99 %.1f us\n",
+               rss_mb, late_p50.value_or(-1), late_p99.value_or(-1));
   std::fprintf(stderr,
                "  checks: %lld slates bit-identical to the serial pipeline, "
                "%lld mismatches; %lld failed of %lld attempted; %s\n",

@@ -25,7 +25,7 @@ namespace {
 constexpr size_t kReplayRequests = 400;
 constexpr size_t kForwardBatches = 48;
 constexpr int kForwardRounds = 4;
-constexpr int kReplayRounds = 3;
+constexpr int kReplayRounds = 9;
 
 double ThreadCpuSeconds() {
   timespec ts{};
@@ -216,20 +216,21 @@ ReplayMetrics RunTraceReplay(const data::World& world,
   }
 
   // Warm caches and the arena, then alternate untraced and traced passes;
-  // the overhead compares the cheaper pass of each kind.
+  // the overhead is the median over the rounds of each round's traced CPU
+  // over its untraced CPU, so a pass the host slowed moves one round only.
   Tracer off(false);
   ReplayPass(ctx, sample, &off);
-  double cpu_off = 1e30;
-  double cpu_on = 1e30;
+  std::vector<double> ratios;
   std::unique_ptr<Tracer> traced;
   for (int round = 0; round < kReplayRounds; ++round) {
     Tracer untraced(false);
-    cpu_off = std::min(cpu_off, ReplayPass(ctx, sample, &untraced));
+    const double cpu_off = ReplayPass(ctx, sample, &untraced);
     auto tracer = std::make_unique<Tracer>(true);
-    cpu_on = std::min(cpu_on, ReplayPass(ctx, sample, tracer.get()));
+    const double cpu_on = ReplayPass(ctx, sample, tracer.get());
+    ratios.push_back(cpu_on / cpu_off);
     traced = std::move(tracer);
   }
-  m.overhead_pct = (cpu_on / cpu_off - 1.0) * 100.0;
+  m.overhead_pct = (Median(ratios) - 1.0) * 100.0;
   {
     ArenaScope arena;
     m.arena_held_mb =

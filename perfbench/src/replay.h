@@ -31,7 +31,8 @@ struct ReplayMetrics {
   double stabt_us_per_row = 0.0;
   /// Bytes parked in the replay thread's tensor arena after the replay.
   double arena_held_mb = 0.0;
-  /// Thread CPU of the traced replay over the untraced one, minus 1, in %.
+  /// Thread CPU of a traced replay pass over an untraced one, minus 1, in %:
+  /// the median over alternating rounds.
   double overhead_pct = 0.0;
 };
 

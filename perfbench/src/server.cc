@@ -6,10 +6,14 @@
 // It prints `READY <port>` once the frontend accepts, then answers one-line
 // commands on stdin (the generator's control pipe):
 //   stats                  -> STATS k=v ...   (counters; engine intervals)
-//   clicks <count> <rate>  -> OK              (starts the click stream)
+//   clicks <count> <rate> <stream>
+//                          -> OK              (stops the running click stream
+//                                              and starts `count` clicks of
+//                                              seeded stream `stream`)
 //   click_probe <count> <rate> <journal_dir>
-//                          -> PROBE k=v ...   (journaled clicks on a store of
-//                                              their own, after the load)
+//                          -> PROBE k=v ...   (one part of a probe of
+//                                              journaled clicks on a store of
+//                                              its own, between load phases)
 //   quit / EOF             -> final STATS, then exit
 // Server CPU and peak RSS come from the process itself, so the generator's
 // own cost never mixes in.
@@ -17,6 +21,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -68,8 +73,9 @@ int64_t PeakRssKb() {
 /// Seeded click stream: each click goes through FeatureStore::RecordClick
 /// (journaled on click_feedback) and, when a trainer is attached, becomes
 /// one feedback example. RecordClick's return latency is recorded per
-/// click. The stream is independent of the served slates, so every run
-/// makes the same clicks.
+/// click. Each stream is seeded from the run seed and its stream number
+/// alone, independent of the served slates and of earlier streams, so every
+/// run makes the same clicks.
 class ClickStream {
  public:
   ClickStream(const data::World& world, feature_store::FeatureStore* store,
@@ -78,53 +84,67 @@ class ClickStream {
         store_(store),
         trainer_(trainer),
         users_(world.config().num_users, 1.1),
+        seed_(seed),
         rng_(Rng(seed).Fork(0xC11C)) {}
 
-  ~ClickStream() { Join(); }
+  ~ClickStream() { Stop(); }
 
   ClickStream(const ClickStream&) = delete;
   ClickStream& operator=(const ClickStream&) = delete;
 
-  /// Starts `count` clicks at `rate`/s on a background thread.
-  void Start(int64_t count, double rate) {
-    Join();
-    thread_ = std::thread([this, count, rate] { Run(count, rate); });
+  /// Stops the running stream, then starts `count` clicks of stream
+  /// `stream` at `rate`/s on a background thread.
+  void Start(int64_t count, double rate, uint64_t stream) {
+    Stop();
+    stop_.store(false);
+    rng_ = Rng(seed_).Fork(0xC11C + stream);
+    thread_ = std::thread([this, count, rate] { Run(count, rate, false); });
   }
 
-  /// Runs `count` clicks at `rate`/s on the calling thread, after one
-  /// unrecorded back-to-back chunk that warms the caches.
-  void RunInline(int64_t count, double rate) {
-    Run(kClickChunk, 0.0);
-    Run(count, rate);
-  }
-
-  void Join() {
+  /// Ends the running stream after its current click.
+  void Stop() {
+    stop_.store(true);
     if (thread_.joinable()) thread_.join();
   }
 
-  /// Clicks done so far and their ack-latency p99: each chunk of
-  /// kClickChunk clicks gets its own p99, and the value is the median over
-  /// the half of the chunks that lost the least CPU to the host (see
+  /// Runs `count` clicks at `rate`/s on the calling thread and adds their
+  /// acks to those of the earlier inline runs. The first call starts with
+  /// one unrecorded back-to-back chunk that warms the caches.
+  void RunInline(int64_t count, double rate) {
+    const bool first = !warmed_;
+    if (first) Run(kClickChunk, 0.0, /*append=*/false);
+    warmed_ = true;
+    Run(count, rate, /*append=*/!first);
+  }
+
+  /// Clicks done so far by the latest stream, the seconds from its start to
+  /// its latest click, and their ack-latency p99: each chunk of kClickChunk
+  /// clicks gets its own p99, and the value is the median over the half of
+  /// the chunks that lost the least CPU to the host (see
   /// QuietWindowPercentile); 0 before the first chunk completes.
-  void Report(int64_t* done, double* p99_us) {
+  void Report(int64_t* done, double* seconds, double* p99_us) {
     MutexLock lock(&mu_);
     *done = static_cast<int64_t>(ack_us_.size());
+    *seconds = static_cast<double>(last_click_ns_ - start_ns_) / 1e9;
     *p99_us = QuietWindowPercentile(ack_us_, kClickChunk, 0.99, chunk_steal_,
                                     false, 0.5)
                   .value_or(0.0);
   }
 
  private:
-  void Run(int64_t count, double rate) {
-    {
+  /// With `append`, the acks join the previous run's; `count` is then a
+  /// multiple of kClickChunk so chunks stay aligned.
+  void Run(int64_t count, double rate, bool append) {
+    const int64_t start = NowNanos();
+    if (!append) {
       MutexLock lock(&mu_);
       ack_us_.clear();
-      ack_us_.reserve(static_cast<size_t>(count));
+      ack_us_.reserve(static_cast<size_t>(std::min<int64_t>(count, 1 << 16)));
       chunk_steal_.clear();
+      start_ns_ = last_click_ns_ = start;
     }
-    const int64_t start = NowNanos();
     double steal_mark = StolenSeconds();
-    for (int64_t i = 0; i < count; ++i) {
+    for (int64_t i = 0; i < count && !stop_.load(); ++i) {
       if (rate > 0.0) {
         const int64_t due = ScheduledSendNanos(start, rate, i);
         const int64_t wait = due - NowNanos();
@@ -135,7 +155,8 @@ class ClickStream {
       Click click = MakeClick(world_, users_, rng_);
       const int64_t t0 = NowNanos();
       store_->RecordClick(click.user_id, click.event);
-      const double ack_us = static_cast<double>(NowNanos() - t0) / 1e3;
+      const int64_t t1 = NowNanos();
+      const double ack_us = static_cast<double>(t1 - t0) / 1e3;
       if (trainer_ != nullptr) {
         const data::World::UserProfile& user = world_.user(click.user_id);
         std::vector<data::BehaviorEvent> window =
@@ -152,6 +173,7 @@ class ClickStream {
         steal_mark = stolen;
       }
       MutexLock lock(&mu_);
+      last_click_ns_ = t1;
       ack_us_.push_back(ack_us);
       if (chunk_steal >= 0.0) chunk_steal_.push_back(chunk_steal);
     }
@@ -161,10 +183,15 @@ class ClickStream {
   feature_store::FeatureStore* store_;
   online::OnlineTrainer* trainer_;
   ZipfTable users_;
+  const uint64_t seed_;
   Rng rng_;
+  std::atomic<bool> stop_{false};
+  bool warmed_ = false;
   Mutex mu_;
   std::vector<double> ack_us_ BASM_GUARDED_BY(mu_);
   std::vector<double> chunk_steal_ BASM_GUARDED_BY(mu_);
+  int64_t start_ns_ BASM_GUARDED_BY(mu_) = 0;
+  int64_t last_click_ns_ BASM_GUARDED_BY(mu_) = 0;
   /// Declared last: it reads every member above.
   std::thread thread_;
 };
@@ -182,11 +209,13 @@ struct Server {
 
 std::string ClickFields(ClickStream* clicks) {
   int64_t done = 0;
+  double seconds = 0.0;
   double p99 = 0.0;
-  clicks->Report(&done, &p99);
+  clicks->Report(&done, &seconds, &p99);
   std::ostringstream out;
   out.precision(10);
-  out << " clicks.done=" << done << " clicks.p99_us=" << p99;
+  out << " clicks.done=" << done << " clicks.seconds=" << seconds
+      << " clicks.p99_us=" << p99;
   return out.str();
 }
 
@@ -326,6 +355,9 @@ int RunServer(const std::string& workload_name, const std::string& checkpoint,
   s.slot = &slot;
   s.clicks = &clicks;
 
+  std::unique_ptr<feature_store::FeatureServer> probe_features;
+  std::unique_ptr<feature_store::FeatureStore> probe_store;
+  std::unique_ptr<ClickStream> probe;
   Reply("READY " + std::to_string(frontend.port()));
   char buf[256];
   while (std::fgets(buf, sizeof(buf), stdin) != nullptr) {
@@ -337,28 +369,34 @@ int RunServer(const std::string& workload_name, const std::string& checkpoint,
     } else if (op == "clicks") {
       int64_t count = 0;
       double rate = 0.0;
-      cmd >> count >> rate;
-      clicks.Start(count, rate);
+      uint64_t stream = 0;
+      cmd >> count >> rate >> stream;
+      clicks.Start(count, rate, stream);
       Reply("OK");
     } else if (op == "click_probe") {
       // The read-only workloads serve without a journal; their click-ack
-      // figure comes from a journaled store of its own, after the load.
+      // figure comes from a journaled store of its own, probed in parts
+      // while the load pauses.
       int64_t count = 0;
       double rate = 0.0;
       std::string dir;
       cmd >> count >> rate >> dir;
-      feature_store::FeatureServer probe_features(world, world.config().seq_len, 3);
-      feature_store::FeatureStore probe_store(&probe_features, JournaledStoreConfig(dir));
-      ClickStream probe(world, &probe_store, nullptr, seed);
-      probe.RunInline(count, rate);
-      Reply("PROBE" + ClickFields(&probe));
+      if (probe == nullptr) {
+        probe_features = std::make_unique<feature_store::FeatureServer>(
+            world, world.config().seq_len, 3);
+        probe_store = std::make_unique<feature_store::FeatureStore>(
+            probe_features.get(), JournaledStoreConfig(dir));
+        probe = std::make_unique<ClickStream>(world, probe_store.get(), nullptr, seed);
+      }
+      probe->RunInline(count, rate);
+      Reply("PROBE" + ClickFields(probe.get()));
     } else if (op == "quit") {
       break;
     } else {
       Reply("ERROR unknown command");
     }
   }
-  clicks.Join();
+  clicks.Stop();
   if (trainer != nullptr) trainer->Stop();
   frontend.Stop();
   for (auto& engine : engines) engine->Shutdown();

@@ -4,15 +4,15 @@
     python3 perfbench/steady.py [--runs 10] [--seed-base 1000]
                                 [--workloads lunch_rank,light_model]
                                 [--trace 0] [--save set1.json]
-                                [--against set0.json]
+                                [--against set0.json] [--logs DIR]
 
 Runs perfbench/run.py --runs times per workload, each with another seed, and
 prints for every metric its median, quartiles (statistics.quantiles, n=4),
 the quartile spread (q3 - q1) / median and the full range
 (max - min) / median. End-to-end metrics whose quartile spread exceeds
-their BENCHMARK.json bound are flagged (setup_s is exempt from the spread
-test, as in the acceptance rule); with --against, so are metrics whose
-median got worse than the saved set's by more than the bound. Exits 1 when
+their BENCHMARK.json bound are flagged, setup_s included; with --against,
+so are metrics whose median got worse than the saved set's by more than the
+bound. With --logs, each run's stderr summary is kept in DIR. Exits 1 when
 anything is flagged or a run fails.
 """
 
@@ -26,12 +26,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds, trace, logs):
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True)
+                          stderr=subprocess.PIPE if logs else subprocess.DEVNULL,
+                          text=True)
+    if logs:
+        with open(os.path.join(logs, "%s-%d.log" % (workload, seed)), "w") as f:
+            f.write(proc.stderr)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
     if proc.returncode != 0 or not lines:
         return None
@@ -50,7 +54,10 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--save", help="write the medians to this file")
     parser.add_argument("--against", help="compare medians with a saved set")
+    parser.add_argument("--logs", help="keep each run's stderr in this directory")
     args = parser.parse_args()
+    if args.logs:
+        os.makedirs(args.logs, exist_ok=True)
 
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -64,7 +71,7 @@ def main():
         values = {}
         for i in range(args.runs):
             seed = args.seed_base + i
-            result = run_once(workload, seed, args.seconds, args.trace)
+            result = run_once(workload, seed, args.seconds, args.trace, args.logs)
             if result is None or not result["correct"] or result["failed"]:
                 print("%s seed %d: run failed or incorrect: %s"
                       % (workload, seed, result), flush=True)
@@ -83,7 +90,7 @@ def main():
             rng = (max(vals) - min(vals)) / med if med else float("inf")
             verdict = []
             bound = bounds.get(name)
-            if bound is not None and name != "setup_s" and iqr > bound:
+            if bound is not None and iqr > bound:
                 verdict.append("SPREAD>%g" % bound)
             prev = previous.get(workload, {}).get(name)
             if bound is not None and prev:
