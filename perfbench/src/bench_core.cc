@@ -12,10 +12,9 @@
 
 namespace basm::perfbench {
 
-// Fixed rates from the ladder's max_qps_at_slo medians (10 seeds, 4-vCPU
-// x86-64 VM): lunch_rank 2265-2472, light_model 8299-9180 and
-// click_feedback 2393-2461 req/s over three sets. Nominal is about half of
-// that, overload about twice it.
+// Fixed rates: nominal about half, overload about twice the seed's
+// max_qps_at_slo (10-seed medians on a 4-vCPU x86-64 VM, listed in
+// perfbench/README.md).
 const std::vector<Workload>& Workloads() {
   static const std::vector<Workload> kWorkloads = {
       {"lunch_rank", core::ModelKind::kBasm, /*lunch_hours=*/true,
@@ -155,13 +154,23 @@ double Median(std::vector<double> values) {
 namespace {
 
 /// Indices of the `share` of `num_windows` windows (rounded, at least one)
-/// that lost the least CPU, ties broken by position; every window when
-/// none lost any.
+/// that lost the least CPU, plus every window that lost no more than the
+/// last of those: steal is read in whole clock ticks, so many windows tie,
+/// and breaking ties by position would favour a phase's first windows.
+/// Every window when none lost any. Only windows with `eligible[j]` (every
+/// window when `eligible` is empty) are chosen; empty when fewer than the
+/// share are eligible.
 std::vector<size_t> QuietWindows(size_t num_windows,
                                  const std::vector<double>& window_steal,
-                                 double share) {
-  std::vector<size_t> order(num_windows);
-  for (size_t j = 0; j < num_windows; ++j) order[j] = j;
+                                 double share,
+                                 const std::vector<bool>& eligible = {}) {
+  std::vector<size_t> order;
+  for (size_t j = 0; j < num_windows; ++j) {
+    if (eligible.empty() || eligible[j]) order.push_back(j);
+  }
+  const size_t keep = std::max<size_t>(
+      1, static_cast<size_t>(std::llround(share * static_cast<double>(num_windows))));
+  if (order.empty() || order.size() < std::min(keep, num_windows)) return {};
   double total = 0.0;
   for (double s : window_steal) total += s;
   if (total <= 0.0) return order;
@@ -170,9 +179,8 @@ std::vector<size_t> QuietWindows(size_t num_windows,
   };
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return steal(a) < steal(b); });
-  const size_t keep = std::max<size_t>(
-      1, static_cast<size_t>(std::llround(share * static_cast<double>(num_windows))));
-  order.resize(std::min(keep, num_windows));
+  const double limit = steal(order[std::min(keep, order.size()) - 1]);
+  while (steal(order.back()) > limit) order.pop_back();
   return order;
 }
 
@@ -185,22 +193,31 @@ std::optional<double> QuietWindowPercentile(
   if (window <= 0) return std::nullopt;
   const size_t w = static_cast<size_t>(window);
   const size_t num_windows = samples.size() / w;
+  if (num_windows == 0) return std::nullopt;
+  {
+    // A window too small for this percentile even when every request in
+    // it is OK.
+    std::vector<double> full(w, 0.0);
+    if (!TailPercentile(&full, q).has_value()) return std::nullopt;
+  }
   std::vector<double> values;
+  std::vector<bool> eligible;
   for (size_t j = 0; j < num_windows; ++j) {
     std::vector<double> win;
     for (size_t i = j * w; i < (j + 1) * w; ++i) {
       if (!ok_only || std::isfinite(samples[i])) win.push_back(samples[i]);
     }
+    // With ok_only, a window that lost too many requests has no value.
     std::optional<double> v = TailPercentile(&win, q);
-    if (!v.has_value()) return std::nullopt;
-    values.push_back(*v);
+    values.push_back(v.value_or(NAN));
+    eligible.push_back(v.has_value());
   }
   if (per_window != nullptr) *per_window = values;
-  if (values.empty()) return std::nullopt;
   std::vector<double> quiet;
-  for (size_t j : QuietWindows(num_windows, window_steal, quiet_share)) {
+  for (size_t j : QuietWindows(num_windows, window_steal, quiet_share, eligible)) {
     quiet.push_back(values[j]);
   }
+  if (quiet.empty()) return std::nullopt;
   return Median(quiet);
 }
 
@@ -250,6 +267,18 @@ bool BacklogGrowing(const std::vector<int64_t>& samples, int64_t slack) {
     if (i > half && samples[i] < samples[i - 1]) return false;
   }
   return samples[n - 1] - first_max > slack;
+}
+
+double StaircaseEstimate(const std::vector<double>& rates,
+                         const std::vector<bool>& passed) {
+  size_t from = 0;
+  while (from < passed.size() && passed[from] == passed[0]) ++from;
+  if (from == passed.size()) from = 0;
+  double log_sum = 0.0;
+  for (size_t i = from; i < rates.size(); ++i) log_sum += std::log(rates[i]);
+  return rates.size() > from
+             ? std::exp(log_sum / static_cast<double>(rates.size() - from))
+             : 0.0;
 }
 
 std::vector<int64_t> SelfTimes(const std::vector<Span>& spans) {

@@ -130,9 +130,14 @@ double Median(std::vector<double> values);
 /// the host. Each window gets its own TailPercentile (over its finite
 /// samples only when `ok_only`); the result is the median of those over
 /// the `quiet_share` of the windows (rounded, at least one) that lost the
-/// least CPU. With no steal reported every window counts. nullopt when a
-/// window lacks ten samples beyond its rank, or no whole window exists.
-/// `per_window`, when given, receives every window's value.
+/// least CPU, and every window tied with the last of them. With no steal
+/// reported every window counts. With `ok_only`,
+/// a window left with fewer than ten OK samples beyond its rank has no
+/// value (NaN) and is passed over, so a burst of failed requests in one
+/// window does not void the phase. nullopt when no whole window exists,
+/// the window size leaves fewer than ten samples beyond the rank, or fewer
+/// windows than the quiet share have a value. `per_window`, when given,
+/// receives every window's value.
 std::optional<double> QuietWindowPercentile(
     const std::vector<double>& samples, int64_t window, double q,
     const std::vector<double>& window_steal, bool ok_only, double quiet_share,
@@ -155,6 +160,13 @@ std::vector<double> GroupSteal(const std::vector<double>& steal, int64_t group);
 /// grows when the second half's samples rise steadily above the first
 /// half's by more than `slack` requests.
 bool BacklogGrowing(const std::vector<int64_t>& samples, int64_t slack);
+
+/// Rate at which an up-down staircase's steps pass half the time: the
+/// geometric mean of the rates it ran from its first reversal (the first
+/// step whose verdict differs from the first step's) on. Every step counts
+/// when it never reversed. 0 for no steps.
+double StaircaseEstimate(const std::vector<double>& rates,
+                         const std::vector<bool>& passed);
 
 /// One timed call the benchmark makes into a layer.
 struct Span {

@@ -70,10 +70,11 @@ static_assert(kClickProbePart % kClickChunk == 0);
 constexpr double kMaxLateP50Us = 500.0;
 constexpr double kLadderCoarse = 1.25;
 constexpr double kLadderFine = 1.05;
-constexpr int kMaxFineSteps = 6;
+/// Single-trial steps of the staircase that follows the coarse ladder.
+constexpr int kStaircaseSteps = 14;
 /// Shares of --seconds: warm-up, one ladder step, the two fixed-rate phases.
 constexpr double kWarmupShare = 0.04;
-constexpr double kStepShare = 0.06;
+constexpr double kStepShare = 0.03;
 constexpr double kNominalShare = 0.2;
 constexpr double kOverloadShare = 0.2;
 /// Seeded click streams of click_feedback: an open-ended one beside the
@@ -728,13 +729,16 @@ int RunGenerator(const GeneratorOptions& opt) {
   // ---- load phases -----------------------------------------------------------
   TrafficGenerator traffic(world, *workload, opt.seed);
   OpenLoopClient client(&conns, static_cast<int32_t>(world.config().num_items));
+  // `windows` > 0 cuts the phase into that many windows (of at least
+  // kMinWindow requests) instead of windows of kWindowShare * S.
   auto run_phase = [&](double rate, double seconds,
                        const std::unordered_map<int32_t, int>* capture,
-                       std::vector<serving::Request>* keep) {
+                       std::vector<serving::Request>* keep, int64_t windows = 0) {
     const int64_t n = CountFor(rate, seconds);
     std::vector<serving::Request> reqs = NextRequests(&traffic, n);
-    const int64_t window =
-        std::max<int64_t>(kMinWindow, std::llround(rate * kWindowShare * S));
+    const int64_t window = std::max<int64_t>(
+        kMinWindow, windows > 0 ? n / windows
+                                : std::llround(rate * kWindowShare * S));
     StatusOr<std::map<std::string, double>> before = server->Stats();
     const double stolen0 = StolenSeconds();
     PhaseResult r = client.Run(reqs, rate, window, capture);
@@ -779,13 +783,17 @@ int RunGenerator(const GeneratorOptions& opt) {
   }
 
   // Ladder: from the nominal rate, coarse x1.25 steps up until one fails
-  // (or down until one passes), then x1.05 steps above the highest coarse
-  // pass until one fails. Every rate is on a fixed grid.
+  // (or down until one passes); then a staircase on the x1.05 grid from the
+  // highest coarse pass, one step up after a pass and one down after a
+  // failure. Near the knee a step passes or fails by chance (the engine's
+  // batches grow once a queue forms), so max_qps_at_slo is the staircase's
+  // estimate of the rate that passes half the time (StaircaseEstimate), not
+  // the highest rate that happened to pass once.
   double max_qps = 0.0;
   int ladder_steps = 0;
   auto ladder_step = [&](double rate) {
     const double seconds = std::max(kStepShare * S, kStepWindows * kMinWindow / rate);
-    PhaseResult step = run_phase(rate, seconds, nullptr, nullptr);
+    PhaseResult step = run_phase(rate, seconds, nullptr, nullptr, kStepWindows);
     const char* failure = StepFailure(step);
     const bool pass = failure == nullptr;
     ++ladder_steps;
@@ -802,26 +810,34 @@ int RunGenerator(const GeneratorOptions& opt) {
     for (int64_t b : step.backlog) std::fprintf(stderr, " %lld", static_cast<long long>(b));
     std::fprintf(stderr, "%s%s\n", pass ? "" : "  -> ", pass ? "" : failure);
     all_phases.push_back(std::move(step));
-    if (pass) max_qps = std::max(max_qps, rate);
     return pass;
   };
   {
-    // A rate fails only if its step fails twice in a row: a burst of host
-    // steal can fail one step well below the knee.
+    // A coarse rate fails only if its step fails twice in a row: a burst
+    // of host steal can fail one step well below the knee.
     auto passes = [&](double r) { return ladder_step(r) || ladder_step(r); };
     double rate = workload->nominal_qps;
-    if (passes(rate)) {
+    bool found = passes(rate);
+    if (found) {
       while (ladder_steps < 32 && passes(rate * kLadderCoarse)) {
         rate *= kLadderCoarse;
       }
     } else {
-      while (ladder_steps < 16) {
+      while (!found && ladder_steps < 16) {
         rate /= kLadderCoarse;
-        if (passes(rate)) break;
+        found = passes(rate);
       }
     }
-    for (int k = 1; k <= kMaxFineSteps && max_qps > 0.0; ++k) {
-      if (!passes(rate * std::pow(kLadderFine, k))) break;
+    if (found) {
+      std::vector<double> rates;
+      std::vector<bool> passed;
+      int k = 1;
+      for (int i = 0; i < kStaircaseSteps; ++i) {
+        rates.push_back(rate * std::pow(kLadderFine, k));
+        passed.push_back(ladder_step(rates.back()));
+        k += passed.back() ? 1 : -1;
+      }
+      max_qps = StaircaseEstimate(rates, passed);
     }
   }
 
@@ -993,6 +1009,10 @@ int RunGenerator(const GeneratorOptions& opt) {
   if (!late_p50.has_value() || *late_p50 > kMaxLateP50Us) {
     valid = false;
     why_invalid = "generator fell behind its schedule";
+  }
+  if (max_qps <= 0.0) {
+    valid = false;
+    why_invalid = "no ladder rate passed";
   }
   if (!p50 || !p99 || !over_p99) {
     valid = false;

@@ -77,6 +77,25 @@ void TestTailPercentile() {
   Expect(QuietWindowPercentile(with_failures, 1020, 0.99, {}, true, 0.5, &ok_only)
                  .value_or(0) == 1.0,
          "ok_only skips failed requests");
+  // Window 1 lost 100 of its 1020 requests, leaving too few OK samples for
+  // a p99: the quieter half is chosen from the other three windows.
+  std::vector<double> lossy;
+  for (int w = 0; w < 4; ++w) {
+    for (int i = 1; i <= 1020; ++i) {
+      lossy.push_back(w == 1 && i > 920 ? INFINITY : i + w);
+    }
+  }
+  const std::vector<double> lossy_steal = {0.01, 0.0, 0.02, 0.03};
+  std::vector<double> lossy_windows;
+  std::optional<double> lossy_p99 = QuietWindowPercentile(
+      lossy, 1020, 0.99, lossy_steal, true, 0.5, &lossy_windows);
+  Expect(lossy_windows.size() == 4 && std::isnan(lossy_windows[1]),
+         "a window with too few OK samples has no p99");
+  Expect(lossy_p99.has_value() && *lossy_p99 == 1011.0,
+         "quieter half taken from the windows with a p99 (1010 and 1012)");
+  Expect(!QuietWindowPercentile(lossy, 1020, 0.99, lossy_steal, true, 1.0)
+              .has_value(),
+         "fewer windows with a p99 than the quiet share");
   Expect(std::abs(QuietWindowShareWithin(phase, 1000, steal, 0.5, 500.0) -
                   0.499) < 1e-9,
          "share within a limit over the quieter half");
@@ -84,6 +103,13 @@ void TestTailPercentile() {
       QuietWindowPercentile(phase, 1000, 0.99, {0.03, 0.02, 0.0, 0.05}, false, 0.25);
   Expect(quarter.has_value() && *quarter == 992.0,
          "quietest quarter of four windows is the one window with no steal");
+  std::vector<double> tied_windows;
+  std::optional<double> tied =
+      QuietWindowPercentile(phase, 1000, 0.99, {0.0, 0.0, 0.0, 0.05}, false, 0.25,
+                            &tied_windows);
+  Expect(tied.has_value() && *tied == Median({tied_windows[0], tied_windows[1],
+                                              tied_windows[2]}),
+         "windows tied on steal all count, not the earliest of them");
   std::vector<double> grouped = GroupSteal({0.01, 0.02, 0.0, 0.03, 0.05}, 2);
   Expect(grouped.size() == 2 && std::abs(grouped[0] - 0.03) < 1e-12 &&
              std::abs(grouped[1] - 0.03) < 1e-12,
@@ -98,6 +124,17 @@ void TestBacklog() {
   Expect(!BacklogGrowing({40, 30, 20, 10, 45, 8, 6, 4}, 4),
          "draining backlog with one spike");
   Expect(!BacklogGrowing({1, 2}, 0), "too few samples");
+
+  // Climbs 100 -> 400 by doubling, then oscillates between 200 and 400:
+  // the climb before the first failure does not count.
+  const double climb = StaircaseEstimate({100, 200, 400, 200, 400, 200},
+                                         {true, true, false, true, false, true});
+  Expect(std::abs(climb - std::pow(400.0 * 200.0 * 400.0 * 200.0, 0.25)) < 1e-9,
+         "staircase: geometric mean from the first reversal");
+  Expect(std::abs(StaircaseEstimate({100, 110, 121}, {true, true, true}) -
+                  110.0) < 0.01,
+         "staircase that never reversed: every step counts");
+  Expect(StaircaseEstimate({}, {}) == 0.0, "empty staircase");
 }
 
 void TestSelfTimes() {
