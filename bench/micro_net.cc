@@ -1,18 +1,16 @@
 // Networked serving tier bench: the loopback sweeps behind src/net/. A
 // closed-loop client fleet (Zipf users, meal-time diurnal hours — the
-// paper's serving context) drives the binary-RPC frontends over
+// paper's serving context) drives the epoll binary-RPC frontend over
 // ServingEngine replicas behind the consistent-hash router, and reports
 // qps, tail latency, shed and degraded counts into the "net" section of
 // BENCH_serving.json. Three sweeps plus one demo:
 //
-//   1. replica sweep (1/2/4) on the thread-per-connection frontend — the
-//      original cells, kept key-compatible for old bench_diff baselines;
-//   2. connection-scaling sweep (64/256/1024 concurrent connections,
-//      thread-per-conn at a fixed 64-thread budget vs epoll on 4 IO loops)
-//      — the cells behind the "epoll sustains 4x the connections at
-//      equal-or-better p99" acceptance bar;
-//   3. pipelining-depth sweep (window 1/8/32 on the epoll frontend) — the
-//      out-of-order completion payoff at a fixed connection count;
+//   1. replica sweep (1/2/4) — cells keyed by replica count alone, so they
+//      stay comparable with older bench_diff baselines;
+//   2. connection-scaling sweep (64/256/1024 concurrent connections on 4
+//      IO loops);
+//   3. pipelining-depth sweep (window 1/8/32) — the out-of-order
+//      completion payoff at a fixed connection count;
 //   4. an overload demo (undersized queues, proactive admission control)
 //      showing the tier shedding instead of collapsing.
 //
@@ -34,7 +32,6 @@
 #include "net/client.h"
 #include "net/epoll_server.h"
 #include "net/router.h"
-#include "net/server.h"
 #include "runtime/serving_engine.h"
 #include "feature_store/feature_store.h"
 #include "feature_store/feature_server.h"
@@ -51,20 +48,17 @@ void AppendJsonNumber(std::ostringstream& out, double value) {
   out << buf;
 }
 
-enum class Frontend { kThreadPerConn, kEpoll };
-
 struct CellResult {
   int32_t replicas = 0;
   net::FleetReport fleet;
   net::ServerStats server;
 };
 
-/// One sweep cell: boot `num_replicas` engines + router + the requested
-/// frontend on an ephemeral loopback port, run the fleet, tear down.
+/// One sweep cell: boot `num_replicas` engines + router + the frontend on
+/// an ephemeral loopback port, run the fleet, tear down.
 CellResult RunCell(serving::Pipeline* pipeline, int32_t num_replicas,
                    const runtime::EngineConfig& engine_config,
-                   Frontend frontend, const net::ServerConfig& server_config,
-                   const net::EpollServerConfig& epoll_config,
+                   const net::EpollServerConfig& server_config,
                    const net::FleetConfig& fleet_config,
                    const data::World& world) {
   CellResult result;
@@ -81,38 +75,18 @@ CellResult RunCell(serving::Pipeline* pipeline, int32_t num_replicas,
   for (const auto& r : replicas) borrowed.push_back(r.get());
 
   net::Router router(num_replicas, net::RouterConfig{});
-  std::unique_ptr<net::RpcServer> tpc;
-  std::unique_ptr<net::EpollRpcServer> epoll;
-  uint16_t port = 0;
-  if (frontend == Frontend::kThreadPerConn) {
-    tpc = std::make_unique<net::RpcServer>(borrowed, &router, server_config);
-    Status started = tpc->Start();
-    if (!started.ok()) {
-      std::printf("server start failed: %s\n", started.ToString().c_str());
-      return result;
-    }
-    port = tpc->port();
-  } else {
-    epoll = std::make_unique<net::EpollRpcServer>(borrowed, &router,
-                                                  epoll_config);
-    Status started = epoll->Start();
-    if (!started.ok()) {
-      std::printf("server start failed: %s\n", started.ToString().c_str());
-      return result;
-    }
-    port = epoll->port();
+  net::EpollRpcServer server(borrowed, &router, server_config);
+  Status started = server.Start();
+  if (!started.ok()) {
+    std::printf("server start failed: %s\n", started.ToString().c_str());
+    return result;
   }
 
   net::ClientFleet fleet(world, fleet_config);
-  StatusOr<net::FleetReport> report = fleet.Run("127.0.0.1", port);
+  StatusOr<net::FleetReport> report = fleet.Run("127.0.0.1", server.port());
   if (report.ok()) result.fleet = report.value();
-  if (tpc != nullptr) {
-    result.server = tpc->stats();
-    tpc->Stop();
-  } else {
-    result.server = epoll->stats().core;
-    epoll->Stop();
-  }
+  result.server = server.stats().core;
+  server.Stop();
   for (auto& r : replicas) r->Shutdown();
   return result;
 }
@@ -169,10 +143,9 @@ int main() {
   net_json << "[";
   bool first = true;
 
-  // --- 1. replica sweep (thread-per-connection; baseline-compatible) ------
+  // --- 1. replica sweep (baseline-compatible keys) ------------------------
   for (int32_t num_replicas : {1, 2, 4}) {
     CellResult cell = RunCell(&pipeline, num_replicas, engine_config,
-                              Frontend::kThreadPerConn, net::ServerConfig{},
                               net::EpollServerConfig{}, fleet, world);
     std::printf("replicas=%d\n%s%s\n", num_replicas,
                 cell.fleet.ToString().c_str(),
@@ -191,45 +164,34 @@ int main() {
              << ",\"rehomed_users\":" << cell.fleet.rehomed_users << "}";
   }
 
-  // --- 2. connection-scaling sweep: tpc (fixed thread budget) vs epoll ----
-  // The thread-per-connection frontend keeps its thread budget fixed while
-  // the offered connection count grows past it: surplus connections starve
-  // in the handler queue until their clients time out and abandon. The
-  // epoll frontend serves the same offered load from 4 loop threads.
-  // `clients_served` (connections driven to completion) and p99 are the
-  // acceptance metrics.
-  const int32_t tpc_thread_budget = fast ? 16 : 64;
+  // --- 2. connection-scaling sweep ---------------------------------------
+  // The offered connection count grows while 4 loop threads serve it.
+  // `clients_served` (connections driven to completion) and p99 show
+  // whether surplus connections starve or are served.
   const std::vector<int32_t> connection_sweep =
       fast ? std::vector<int32_t>{16, 64}
            : std::vector<int32_t>{64, 256, 1024};
   for (int32_t connections : connection_sweep) {
-    for (Frontend frontend : {Frontend::kThreadPerConn, Frontend::kEpoll}) {
-      const bool is_epoll = frontend == Frontend::kEpoll;
-      net::FleetConfig scaling = fleet;
-      scaling.num_clients = connections;
-      scaling.num_requests = static_cast<int64_t>(connections) * 16;
-      // A starved connection gives up quickly instead of padding the run:
-      // abandoned clients are exactly what the cell is measuring.
-      scaling.receive_timeout_ms = 1000;
-      scaling.max_transport_failures = 2;
-      net::ServerConfig tpc_config;
-      tpc_config.io_threads = tpc_thread_budget;
-      net::EpollServerConfig epoll_config;
-      epoll_config.num_loops = fast ? 2 : 4;
-      CellResult cell =
-          RunCell(&pipeline, /*num_replicas=*/2, engine_config, frontend,
-                  tpc_config, epoll_config, scaling, world);
-      std::printf("connections=%d frontend=%s\n%s%s\n", connections,
-                  is_epoll ? "epoll" : "tpc",
-                  cell.fleet.ToString().c_str(),
-                  cell.server.ToString().c_str());
-      net_json << ",\n    {\"frontend\":\"" << (is_epoll ? "epoll" : "tpc")
-               << "\",\"connections\":" << connections;
-      AppendCellMetrics(net_json, cell);
-    }
+    net::FleetConfig scaling = fleet;
+    scaling.num_clients = connections;
+    scaling.num_requests = static_cast<int64_t>(connections) * 16;
+    // A starved connection gives up quickly instead of padding the run:
+    // abandoned clients are exactly what the cell is measuring.
+    scaling.receive_timeout_ms = 1000;
+    scaling.max_transport_failures = 2;
+    net::EpollServerConfig server_config;
+    server_config.num_loops = fast ? 2 : 4;
+    CellResult cell = RunCell(&pipeline, /*num_replicas=*/2, engine_config,
+                              server_config, scaling, world);
+    std::printf("connections=%d\n%s%s\n", connections,
+                cell.fleet.ToString().c_str(),
+                cell.server.ToString().c_str());
+    net_json << ",\n    {\"frontend\":\"epoll\",\"connections\":"
+             << connections;
+    AppendCellMetrics(net_json, cell);
   }
 
-  // --- 3. pipelining-depth sweep on the epoll frontend --------------------
+  // --- 3. pipelining-depth sweep ------------------------------------------
   // Few connections, growing per-connection windows: depth N keeps N frames
   // in flight per connection and demuxes out-of-order completions by
   // sequence number. With only 8 connections, window 1 cannot fill the
@@ -243,13 +205,11 @@ int main() {
     pipelined.num_requests = static_cast<int64_t>(pipeline_connections) *
                              (fast ? 50 : 200);
     pipelined.pipeline_window = window;
-    net::EpollServerConfig epoll_config;
-    epoll_config.num_loops = fast ? 2 : 4;
-    CellResult cell =
-        RunCell(&pipeline, /*num_replicas=*/2, engine_config,
-                Frontend::kEpoll, net::ServerConfig{}, epoll_config,
-                pipelined, world);
-    std::printf("pipelining window=%d (%d connections, epoll)\n%s%s\n",
+    net::EpollServerConfig server_config;
+    server_config.num_loops = fast ? 2 : 4;
+    CellResult cell = RunCell(&pipeline, /*num_replicas=*/2, engine_config,
+                              server_config, pipelined, world);
+    std::printf("pipelining window=%d (%d connections)\n%s%s\n",
                 window, pipeline_connections, cell.fleet.ToString().c_str(),
                 cell.server.ToString().c_str());
     net_json << ",\n    {\"frontend\":\"epoll\",\"connections\":"
@@ -273,14 +233,13 @@ int main() {
     runtime::EngineConfig tiny = engine_config;
     tiny.num_workers = 1;
     tiny.queue_capacity = 4;
-    net::ServerConfig frontend;
+    net::EpollServerConfig frontend;
     frontend.shed_queue_fraction = 0.75;
     net::FleetConfig burst = fleet;
     burst.num_requests = std::min<int64_t>(fleet.num_requests, 800);
     burst.num_clients = 32;  // >> queue capacity: overload by construction
-    CellResult cell = RunCell(&pipeline, /*num_replicas=*/2, tiny,
-                              Frontend::kThreadPerConn, frontend,
-                              net::EpollServerConfig{}, burst, world);
+    CellResult cell =
+        RunCell(&pipeline, /*num_replicas=*/2, tiny, frontend, burst, world);
     std::printf("overload demo (2 replicas, queue 4, 32 clients)\n%s%s\n",
                 cell.fleet.ToString().c_str(),
                 cell.server.ToString().c_str());

@@ -1,14 +1,13 @@
 // Networked serving walk-through: the Fig 13 deployment stretched over a
-// wire. Three ServingEngine replicas stand behind a TCP frontend speaking
-// the length-prefixed binary protocol of net/wire.h, a consistent-hash
-// router pins every user to a home replica, and a closed-loop client fleet
-// (Zipf users, meal-time diurnal hours) drives it over loopback. Then the
-// failure drill: kill one replica mid-traffic and watch its breaker trip,
-// its users re-home to survivors, and everyone else keep their pins; bring
-// it back and watch the ring heal. An overload phase shows admission
-// control shedding instead of queueing without bound, and a final phase
-// reruns the healthy tier behind the epoll event-loop frontend with the
-// fleet pipelining 8 requests per connection.
+// wire. Three ServingEngine replicas stand behind the epoll TCP frontend
+// speaking the length-prefixed binary protocol of net/wire.h, a
+// consistent-hash router pins every user to a home replica, and a
+// closed-loop client fleet (Zipf users, meal-time diurnal hours) drives it
+// over loopback — first lock-step, then pipelining 8 requests per
+// connection with out-of-order completion. Then the failure drill: kill one
+// replica mid-traffic and watch its breaker trip, its users re-home to
+// survivors, and everyone else keep their pins. An overload phase shows
+// admission control shedding instead of queueing without bound.
 //
 // Honors BASM_FAST=1 (CI smoke): smaller world, fewer requests.
 
@@ -22,7 +21,6 @@
 #include "net/client.h"
 #include "net/epoll_server.h"
 #include "net/router.h"
-#include "net/server.h"
 #include "runtime/serving_engine.h"
 #include "feature_store/feature_store.h"
 #include "feature_store/feature_server.h"
@@ -67,7 +65,7 @@ int main() {
   rc.breaker.open_micros = 60ll * 1000 * 1000;
   net::Router router(3, rc);
 
-  net::RpcServer server(borrowed, &router, net::ServerConfig{});
+  net::EpollRpcServer server(borrowed, &router, net::EpollServerConfig{});
   if (Status s = server.Start(); !s.ok()) {
     std::printf("server start failed: %s\n", s.ToString().c_str());
     return 1;
@@ -80,13 +78,29 @@ int main() {
   net::ClientFleet fleet(world, fc);
 
   // 1) Healthy baseline: every request OK, users pinned to home replicas.
-  std::printf("== phase 1: healthy baseline ==\n");
+  //    The same tier then serves a pipelined fleet (window of 8 requests in
+  //    flight per connection, responses completed out of order and demuxed
+  //    by wire sequence number) — same routing, breaker, and shed semantics.
+  std::printf("== phase 1: healthy baseline, lock-step then pipelined ==\n");
   StatusOr<net::FleetReport> baseline = fleet.Run("127.0.0.1", server.port());
   if (!baseline.ok()) {
     std::printf("fleet failed: %s\n", baseline.status().ToString().c_str());
     return 1;
   }
   std::printf("%s\n", baseline.value().ToString().c_str());
+  net::FleetConfig piped = fc;
+  piped.num_requests = fast ? 320 : 1600;
+  piped.pipeline_window = 8;
+  net::ClientFleet piped_fleet(world, piped);
+  StatusOr<net::FleetReport> piped_report =
+      piped_fleet.Run("127.0.0.1", server.port());
+  if (!piped_report.ok()) {
+    std::printf("pipelined fleet failed: %s\n",
+                piped_report.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("pipelined (window 8):\n%s\n",
+              piped_report.value().ToString().c_str());
 
   // 2) Kill replica 1. Its next requests fail as dead-replica submits, the
   //    breaker trips it out of the ring, and only its arc of users re-homes
@@ -127,9 +141,10 @@ int main() {
   std::vector<runtime::ServingEngine*> small_borrowed;
   for (const auto& r : small) small_borrowed.push_back(r.get());
   net::Router small_router(2, net::RouterConfig{});
-  net::ServerConfig overload_config;
+  net::EpollServerConfig overload_config;
   overload_config.shed_queue_fraction = 0.75;
-  net::RpcServer overload(small_borrowed, &small_router, overload_config);
+  net::EpollRpcServer overload(small_borrowed, &small_router,
+                               overload_config);
   if (Status s = overload.Start(); !s.ok()) {
     std::printf("server start failed: %s\n", s.ToString().c_str());
     return 1;
@@ -141,43 +156,5 @@ int main() {
   StatusOr<net::FleetReport> shed = storm.Run("127.0.0.1", overload.port());
   if (shed.ok()) std::printf("%s", shed.value().ToString().c_str());
   overload.Stop();
-
-  // 5) Event-loop frontend: the same tier behind the epoll server, with the
-  //    fleet in pipelined mode (window of 8 requests in flight per
-  //    connection, responses completed out of order and demuxed by wire
-  //    sequence number). Same routing, breaker, and shed semantics — only
-  //    the transport changed.
-  std::printf("\n== phase 5: epoll frontend, pipelined clients ==\n");
-  runtime::EngineConfig healthy = ec;
-  std::vector<std::unique_ptr<runtime::ServingEngine>> pair;
-  for (int i = 0; i < 2; ++i) {
-    healthy.seed = 0xE901 + static_cast<uint64_t>(i);
-    pair.push_back(std::make_unique<runtime::ServingEngine>(&pipeline, healthy));
-  }
-  std::vector<runtime::ServingEngine*> pair_borrowed;
-  for (const auto& r : pair) pair_borrowed.push_back(r.get());
-  net::Router pair_router(2, net::RouterConfig{});
-  net::EpollServerConfig epoll_config;
-  epoll_config.num_loops = 2;
-  net::EpollRpcServer epoll_server(pair_borrowed, &pair_router, epoll_config);
-  if (Status s = epoll_server.Start(); !s.ok()) {
-    std::printf("epoll server start failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  net::FleetConfig piped = fc;
-  piped.num_clients = 8;
-  piped.num_requests = fast ? 320 : 1600;
-  piped.pipeline_window = 8;
-  net::ClientFleet piped_fleet(world, piped);
-  StatusOr<net::FleetReport> piped_report =
-      piped_fleet.Run("127.0.0.1", epoll_server.port());
-  if (!piped_report.ok()) {
-    std::printf("pipelined fleet failed: %s\n",
-                piped_report.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s", piped_report.value().ToString().c_str());
-  std::printf("epoll counters:\n%s\n", epoll_server.stats().ToString().c_str());
-  epoll_server.Stop();
   return 0;
 }

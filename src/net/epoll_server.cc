@@ -79,9 +79,9 @@ Status EpollRpcServer::Start() {
   shards_.reserve(config_.num_loops);
   for (int32_t i = 0; i < config_.num_loops; ++i) {
     shards_.push_back(std::make_unique<LoopShard>());
-    // Loop startup/teardown under the lifecycle lock: the same poll-bounded
-    // join hierarchy as RpcServer::Stop (DESIGN §10), held so concurrent
-    // Start/Stop stay idempotent.
+    // Loop startup/teardown under the lifecycle lock: the poll-bounded
+    // join hierarchy of DESIGN §10, held so concurrent Start/Stop stay
+    // idempotent.
     Status started = shards_.back()->loop.Start();  // basm-analyze: allow(blocking-under-lock)
     if (!started.ok()) {
       for (auto& shard : shards_) {
@@ -251,7 +251,7 @@ void EpollRpcServer::DrainFrames(LoopShard* shard,
       // Malformed frame: best-effort error response (the peer may be a
       // buggy client rather than garbage traffic), then close once it
       // flushes — the byte stream can no longer be trusted to be
-      // frame-aligned. Same semantics as the blocking frontend.
+      // frame-aligned.
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       RpcResponse error;
       error.sequence = request.sequence;  // 0 unless decode got that far

@@ -54,10 +54,12 @@ struct EpollServerStats {
   std::string ToString() const;
 };
 
-/// Event-loop RPC frontend (DESIGN §16): the pipelined, readiness-driven
-/// sibling of RpcServer. A small pool of IO loop threads (EventLoop over
-/// epoll) owns all connections; each connection is a lock-free state
-/// machine touched only from its loop thread:
+/// TCP frontend of the multi-replica serving tier (DESIGN §12, §16): it
+/// speaks the length-prefixed binary protocol of net/wire.h in front of N
+/// independent ServingEngine replicas behind a consistent-hash Router. A
+/// small pool of IO loop threads (EventLoop over epoll) owns all
+/// connections; each connection is a lock-free state machine touched only
+/// from its loop thread:
 ///
 ///   readable -> accumulate -> decode frames -> FrontendCore::SubmitAsync
 ///     (many frames in flight, per-connection cap)
@@ -65,12 +67,12 @@ struct EpollServerStats {
 ///     encode -> output queue -> flush until EAGAIN -> EPOLLOUT to finish
 ///
 /// Responses complete out of order — the wire sequence number is the
-/// correlation id, and the pipelined client demuxes on it. Decode, routing,
-/// admission shedding, breaker feeding and failover are FrontendCore, i.e.
-/// bit-identical semantics to RpcServer: a corrupt frame still gets a
-/// best-effort error response and closes the connection (framing cannot be
-/// trusted), queue saturation still sheds without the breaker, and a dead
-/// replica still fails over within the budget.
+/// correlation id, and the pipelined client demuxes on it; a lock-step
+/// client (window 1) is simply the degenerate case. Routing, admission
+/// shedding, breaker feeding and failover are FrontendCore: queue
+/// saturation sheds without the breaker, and a dead replica fails over
+/// within the budget. A corrupt frame gets a best-effort error response and
+/// closes the connection (framing cannot be trusted after it).
 ///
 /// The engines and router are borrowed and must outlive Stop().
 class EpollRpcServer {

@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
@@ -66,8 +65,13 @@ void FrontendCore::Dispatch(std::shared_ptr<const RpcRequest> request,
     return;
   }
 
+  // The wire's deadline 0 means "the replica's default"; the engine itself
+  // treats every deadline as a budget from enqueue, so 0 there is expired.
+  const int64_t deadline_micros =
+      request->deadline_micros > 0 ? request->deadline_micros
+                                   : engine->config().default_deadline_micros;
   engine->SubmitWithCallback(
-      request->request, request->candidates, request->deadline_micros,
+      request->request, request->candidates, deadline_micros,
       [this, request, r, failovers_left,
        done = std::move(done)](runtime::SlateResult result) mutable {
         RpcResponse response;
@@ -113,15 +117,6 @@ void FrontendCore::Dispatch(std::shared_ptr<const RpcRequest> request,
       });
 }
 
-RpcResponse FrontendCore::HandleRequestBlocking(const RpcRequest& request) {
-  std::promise<RpcResponse> promise;
-  std::future<RpcResponse> future = promise.get_future();
-  SubmitAsync(request, [&promise](RpcResponse response) {
-    promise.set_value(std::move(response));
-  });
-  return future.get();
-}
-
 void FrontendCore::FillStats(ServerStats* stats) const {
   stats->shed = shed_.load(std::memory_order_relaxed);
   stats->unroutable = unroutable_.load(std::memory_order_relaxed);
@@ -133,137 +128,6 @@ void FrontendCore::FillStats(ServerStats* stats) const {
     stats->per_replica_failed.push_back(
         pr->failed.load(std::memory_order_relaxed));
   }
-}
-
-RpcServer::RpcServer(std::vector<runtime::ServingEngine*> replicas,
-                     Router* router, ServerConfig config)
-    : core_(std::move(replicas), router,
-            FrontendConfig{config.shed_queue_fraction, config.max_failovers}),
-      config_(config) {
-  BASM_CHECK_GT(config_.io_threads, 0);
-}
-
-RpcServer::~RpcServer() { Stop(); }
-
-Status RpcServer::Start() {
-  MutexLock lock(&lifecycle_mu_);
-  BASM_CHECK(!started_) << "RpcServer started twice";
-  StatusOr<TcpListener> listener = TcpListener::Bind(config_.port);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(listener).value();
-  port_ = listener_.port();
-  handlers_ = std::make_unique<ThreadPool>(config_.io_threads);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
-  return Status::Ok();
-}
-
-void RpcServer::Stop() {
-  MutexLock lock(&lifecycle_mu_);
-  if (!started_ || stopped_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  // Handler loops poll the stop flag between frames and exit within one
-  // poll interval; the pool drain joins them all. Holding lifecycle_mu_
-  // across the drain is the documented hierarchy (DESIGN §10): it makes
-  // concurrent Stop calls idempotent and the join is poll-bounded.
-  if (acceptor_.joinable()) acceptor_.join();  // basm-analyze: allow(blocking-under-lock)
-  handlers_->Shutdown();  // basm-analyze: allow(blocking-under-lock)
-  stopped_ = true;
-}
-
-void RpcServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    StatusOr<bool> ready = listener_.WaitAcceptable(config_.poll_interval_ms);
-    if (!ready.ok()) {
-      BASM_LOG(Warning) << "acceptor poll failed: "
-                        << ready.status().ToString();
-      return;
-    }
-    if (!ready.value()) continue;  // timeout: re-check the stop flag
-    StatusOr<TcpConnection> accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      BASM_LOG(Warning) << "accept failed: " << accepted.status().ToString();
-      continue;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    // shared_ptr because std::function requires a copyable closure.
-    auto connection =
-        std::make_shared<TcpConnection>(std::move(accepted).value());
-    handlers_->Submit([this, connection] { HandleConnection(connection); });
-  }
-}
-
-void RpcServer::HandleConnection(std::shared_ptr<TcpConnection> connection) {
-  std::vector<uint8_t> payload;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    StatusOr<bool> readable =
-        connection->WaitReadable(config_.poll_interval_ms);
-    if (!readable.ok()) return;
-    if (!readable.value()) continue;  // timeout: re-check the stop flag
-
-    uint8_t header_bytes[kFrameHeaderBytes];
-    Status read = connection->ReadAll(header_bytes, kFrameHeaderBytes);
-    if (!read.ok()) return;  // clean close or broken stream: drop quietly
-
-    FrameHeader header;
-    Status decoded = DecodeFrameHeader(header_bytes, kFrameHeaderBytes,
-                                       &header);
-    RpcRequest request;
-    Status frame_ok = decoded;
-    if (decoded.ok()) {
-      if (header.type != FrameType::kRequest) {
-        frame_ok = Status::InvalidArgument("expected a request frame");
-      } else {
-        payload.resize(header.payload_size);
-        read = connection->ReadAll(payload.data(), payload.size());
-        if (!read.ok()) return;
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        frame_ok = VerifyPayload(header, payload.data(), payload.size());
-        if (frame_ok.ok()) {
-          frame_ok =
-              DecodeRequestPayload(payload.data(), payload.size(), &request);
-        }
-      }
-    }
-
-    if (!frame_ok.ok()) {
-      // Malformed frame: best-effort error response (the peer may be a
-      // buggy client rather than garbage traffic), then close — the byte
-      // stream can no longer be trusted to be frame-aligned.
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      RpcResponse error;
-      error.sequence = request.sequence;  // 0 unless decode got that far
-      error.replica = kNoReplica;
-      error.code = frame_ok.code();
-      error.message = frame_ok.message();
-      std::vector<uint8_t> frame = EncodeResponseFrame(error);
-      (void)connection->WriteAll(frame.data(), frame.size());
-      return;
-    }
-
-    RpcResponse response = core_.HandleRequestBlocking(request);
-    std::vector<uint8_t> frame = EncodeResponseFrame(response);
-    // Counted before the write: a client that has *observed* the response
-    // must find it in stats(), and WriteAll publishes bytes to the peer
-    // before it returns here. A failed write undoes the count.
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    Status written = connection->WriteAll(frame.data(), frame.size());
-    if (!written.ok()) {
-      responses_sent_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-}
-
-ServerStats RpcServer::stats() const {
-  ServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.responses_sent = responses_sent_.load(std::memory_order_relaxed);
-  s.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  core_.FillStats(&s);
-  return s;
 }
 
 std::string ServerStats::ToString() const {

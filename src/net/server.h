@@ -5,14 +5,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/synchronization.h"
-#include "common/thread_pool.h"
 #include "net/router.h"
-#include "net/socket.h"
 #include "net/wire.h"
 #include "runtime/serving_engine.h"
 
@@ -21,8 +18,7 @@ namespace basm::net {
 /// Replica field of a response that never reached any replica.
 inline constexpr uint32_t kNoReplica = 0xFFFFFFFFu;
 
-/// Routing/admission knobs shared by both frontends (thread-per-connection
-/// RpcServer and the event-loop EpollRpcServer).
+/// Routing/admission knobs of the frontend core.
 struct FrontendConfig {
   /// Admission control: a request whose target replica's backlog is at or
   /// above this fraction of its queue capacity is shed with UNAVAILABLE
@@ -61,10 +57,9 @@ struct ServerStats {
 /// The transport-independent core of the serving frontend: route one decoded
 /// request (consistent hash + breaker health), admission-shed against the
 /// target replica's live queue depth, submit to the engine, and fail dead
-/// replicas over — exactly once per request, no matter which transport
-/// carried the frame. Both RpcServer (blocking, thread-per-connection) and
-/// EpollRpcServer (event loop, pipelined) delegate here, so the shed-vs-dead
-/// split and the breaker semantics cannot drift between the two frontends.
+/// replicas over — exactly once per request. EpollRpcServer
+/// (net/epoll_server.h) owns the sockets and delegates every decoded frame
+/// here; the core knows nothing about connections.
 ///
 /// A submit that fails because the replica is dead (engine shut down,
 /// CANCELLED) feeds the replica's breaker and fails over to the next ring
@@ -94,10 +89,6 @@ class FrontendCore {
   /// bounded by `max_failovers`.
   void SubmitAsync(const RpcRequest& request, ResponseCallback done);
 
-  /// Blocking convenience for the thread-per-connection path: SubmitAsync
-  /// plus a wait for the completion.
-  RpcResponse HandleRequestBlocking(const RpcRequest& request);
-
   /// Adds this core's counters (shed/unroutable/failover/per-replica) into
   /// `stats`; the transport owns the connection/frame counters.
   void FillStats(ServerStats* stats) const;
@@ -119,80 +110,6 @@ class FrontendCore {
   std::atomic<int64_t> shed_{0};
   std::atomic<int64_t> unroutable_{0};
   std::atomic<int64_t> failover_retries_{0};
-};
-
-struct ServerConfig {
-  /// 0 binds an ephemeral port; read it back with port() after Start().
-  uint16_t port = 0;
-  /// Connection-handler threads (thread-per-connection): the frontend
-  /// serves at most this many concurrent connections; further accepts
-  /// queue on the pool.
-  int32_t io_threads = 8;
-  /// See FrontendConfig.
-  double shed_queue_fraction = 0.9;
-  int32_t max_failovers = 2;
-  /// Stop-flag poll cadence of the acceptor and handler loops.
-  int32_t poll_interval_ms = 20;
-};
-
-/// TCP frontend of the multi-replica serving tier: a loopback/LAN acceptor
-/// (thread-per-connection on common::ThreadPool) speaking the length-
-/// prefixed binary protocol of net/wire.h, fronting N independent
-/// ServingEngine replicas behind a consistent-hash Router.
-///
-/// Request path per frame: decode -> FrontendCore (route, admission-shed,
-/// submit, failover) -> encode the slate (or the error) back. Connections
-/// are handled synchronously (one in-flight request per connection), which
-/// matches the closed-loop client fleet; concurrency comes from many
-/// connections, micro-batching inside each engine from concurrent arrivals.
-/// EpollRpcServer (net/epoll_server.h) is the pipelined event-loop frontend
-/// over the same core.
-///
-/// The engines and router are borrowed and must outlive Stop().
-class RpcServer {
- public:
-  RpcServer(std::vector<runtime::ServingEngine*> replicas, Router* router,
-            ServerConfig config);
-  /// Stops and joins (equivalent to Stop()).
-  ~RpcServer();
-
-  RpcServer(const RpcServer&) = delete;
-  RpcServer& operator=(const RpcServer&) = delete;
-
-  /// Binds the listener and starts the acceptor + handler pool. Call once.
-  [[nodiscard]] Status Start() BASM_EXCLUDES(lifecycle_mu_);
-
-  /// Stops accepting, drains handler loops, joins everything. Idempotent.
-  void Stop() BASM_EXCLUDES(lifecycle_mu_);
-
-  /// Bound port (valid after a successful Start()).
-  uint16_t port() const { return port_; }
-
-  ServerStats stats() const;
-
-  const ServerConfig& config() const { return config_; }
-
- private:
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<TcpConnection> connection);
-
-  FrontendCore core_;
-  const ServerConfig config_;
-
-  TcpListener listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  /// Handler pool plus the acceptor thread; both live between Start/Stop.
-  std::unique_ptr<ThreadPool> handlers_;
-  Mutex lifecycle_mu_;
-  bool started_ BASM_GUARDED_BY(lifecycle_mu_) = false;
-  bool stopped_ BASM_GUARDED_BY(lifecycle_mu_) = false;
-  std::thread acceptor_ BASM_GUARDED_BY(lifecycle_mu_);
-
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> frames_received_{0};
-  std::atomic<int64_t> responses_sent_{0};
-  std::atomic<int64_t> decode_errors_{0};
 };
 
 }  // namespace basm::net

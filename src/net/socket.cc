@@ -82,10 +82,6 @@ void Socket::Close() {
   }
 }
 
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 StatusOr<TcpConnection> TcpConnection::Connect(const std::string& host,
                                                uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -230,23 +226,6 @@ StatusOr<TcpListener> TcpListener::Bind(uint16_t port, int backlog) {
     return Status::Internal(ErrnoMessage("getsockname", errno));
   }
   return TcpListener(std::move(socket), ntohs(addr.sin_port));
-}
-
-StatusOr<bool> TcpListener::WaitAcceptable(int timeout_ms) {
-  return PollFd(socket_.fd(), POLLIN, timeout_ms);
-}
-
-StatusOr<TcpConnection> TcpListener::Accept() {
-  while (true) {
-    int fd = ::accept(socket_.fd(), nullptr, nullptr);
-    if (fd >= 0) {
-      Socket conn(fd);
-      BASM_RETURN_IF_ERROR(SetNoDelay(fd));
-      return TcpConnection(std::move(conn));
-    }
-    if (errno == EINTR) continue;
-    return Status::Unavailable(ErrnoMessage("accept", errno));
-  }
 }
 
 StatusOr<bool> TcpListener::TryAccept(TcpConnection* out) {

@@ -24,9 +24,8 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Toggles O_NONBLOCK. The event-loop tier runs every socket
-  /// non-blocking; the legacy thread-per-connection path leaves them
-  /// blocking.
+  /// Toggles O_NONBLOCK. The event-loop server runs every socket it owns
+  /// non-blocking; the blocking client keeps its connection blocking.
   [[nodiscard]] Status SetNonBlocking(bool nonblocking);
 
   /// Clamps the kernel send buffer (SO_SNDBUF). Serving uses the OS
@@ -36,11 +35,6 @@ class Socket {
 
   /// Closes the descriptor (idempotent).
   void Close();
-
-  /// Half-closes both directions, waking any thread blocked on this socket
-  /// in read/accept with an error — the shutdown hook of the server's
-  /// connection handlers. The descriptor itself stays owned until Close().
-  void ShutdownBoth();
 
  private:
   int fd_ = -1;
@@ -108,12 +102,9 @@ class TcpConnection {
   int fd() const { return socket_.fd(); }
 
   /// Blocks up to `timeout_ms` for readability. Returns true when a read
-  /// would not block (data or EOF pending), false on timeout. Lets handler
-  /// loops poll a stop flag instead of parking forever in ReadAll.
+  /// would not block (data or EOF pending), false on timeout. Lets a client
+  /// bound its wait for a response instead of parking forever in ReadAll.
   [[nodiscard]] StatusOr<bool> WaitReadable(int timeout_ms);
-
-  /// Wakes any blocked reader/writer with an error (see Socket).
-  void Shutdown() { socket_.ShutdownBoth(); }
 
  private:
   Socket socket_;
@@ -131,15 +122,6 @@ class TcpListener {
 
   bool valid() const { return socket_.valid(); }
   uint16_t port() const { return port_; }
-
-  /// Blocks up to `timeout_ms` for a pending connection; nullopt-like
-  /// false on timeout (the acceptor loop's stop-flag poll point).
-  [[nodiscard]] StatusOr<bool> WaitAcceptable(int timeout_ms);
-
-  /// Accepts one pending connection (blocking; pair with WaitAcceptable).
-  /// TCP_NODELAY is set on the accepted socket (frames are small and
-  /// latency-bound).
-  [[nodiscard]] StatusOr<TcpConnection> Accept();
 
   /// Non-blocking accept for the event-loop tier: returns false when no
   /// connection is pending (the listener must be non-blocking), true with

@@ -74,14 +74,13 @@ std::future<SlateResult> ServingEngine::Submit(
 std::future<SlateResult> ServingEngine::Submit(
     const serving::Request& request, std::vector<int32_t> candidates,
     int64_t deadline_micros) {
-  auto job = std::make_unique<Job>();
-  job->request = request;
-  job->candidates = std::move(candidates);
-  job->enqueue_time = Clock::now();
-  job->deadline =
-      job->enqueue_time + std::chrono::microseconds(deadline_micros);
-  std::future<SlateResult> future = job->promise.get_future();
-  Enqueue(std::move(job));
+  // shared_ptr because std::function requires a copyable closure.
+  auto promise = std::make_shared<std::promise<SlateResult>>();
+  std::future<SlateResult> future = promise->get_future();
+  SubmitWithCallback(request, std::move(candidates), deadline_micros,
+                     [promise](SlateResult result) {
+                       promise->set_value(std::move(result));
+                     });
   return future;
 }
 
@@ -94,27 +93,13 @@ void ServingEngine::SubmitWithCallback(const serving::Request& request,
   job->request = request;
   job->candidates = std::move(candidates);
   job->enqueue_time = Clock::now();
-  job->deadline = job->enqueue_time +
-                  std::chrono::microseconds(deadline_micros > 0
-                                                ? deadline_micros
-                                                : config_.default_deadline_micros);
+  job->deadline =
+      job->enqueue_time + std::chrono::microseconds(deadline_micros);
   job->callback = std::move(done);
-  Enqueue(std::move(job));
-}
-
-void ServingEngine::Resolve(Job* job, SlateResult result) {
-  if (job->callback) {
-    job->callback(std::move(result));
-  } else {
-    job->promise.set_value(std::move(result));
-  }
-}
-
-void ServingEngine::Enqueue(std::unique_ptr<Job> job) {
   if (!queue_.TryPush(std::move(job))) {
     // A rejected push leaves the job with us (TryPush takes an rvalue
-    // reference and only moves on success), so the promise/callback is
-    // still live and resolves inline on the submitting thread.
+    // reference and only moves on success), so the callback is still live
+    // and resolves inline on the submitting thread.
     SlateResult result;
     if (queue_.shut_down()) {
       result.status = Status::Cancelled("serving engine is shut down");
@@ -122,7 +107,7 @@ void ServingEngine::Enqueue(std::unique_ptr<Job> job) {
       recorder_.RecordReject();
       result.status = Status::Unavailable("request queue full");
     }
-    Resolve(job.get(), std::move(result));
+    job->callback(std::move(result));
   }
 }
 
@@ -220,7 +205,7 @@ void ServingEngine::ProcessBatch(std::vector<std::unique_ptr<Job>> jobs) {
       SlateResult result;
       result.status =
           Status::DeadlineExceeded("deadline passed before scoring");
-      Resolve(job.get(), std::move(result));
+      job->callback(std::move(result));
     } else {
       live.push_back(std::move(job));
     }
@@ -339,12 +324,12 @@ void ServingEngine::ProcessBatch(std::vector<std::unique_ptr<Job>> jobs) {
     }
     result.slate = serving::Pipeline::MakeSlate(live[j]->candidates, slice,
                                                 pipeline_->expose_k());
-    // Record before resolving the future so a caller that joins on the
+    // Record before the callback fires so a caller that joins on the
     // result immediately sees this request in Stats().
     recorder_.RecordLatency(std::chrono::duration_cast<std::chrono::microseconds>(
                                 done - live[j]->enqueue_time)
                                 .count());
-    Resolve(live[j].get(), std::move(result));
+    live[j]->callback(std::move(result));
   }
 }
 

@@ -32,7 +32,8 @@ struct EngineConfig {
   /// `max_wait_micros` window regardless of pressure.
   int64_t adaptive_pressure_depth = 0;
   int64_t adaptive_wait_micros = 0;
-  /// Deadline applied when Submit is called without one. A request whose
+  /// Deadline applied when Submit is called without one (and by the RPC
+  /// frontend to a wire request whose deadline is 0). A request whose
   /// deadline passes before a worker picks it up is dropped with
   /// DEADLINE_EXCEEDED (doomed work is shed, not scored).
   int64_t default_deadline_micros = 100000;
@@ -120,7 +121,9 @@ class ServingEngine {
   std::future<SlateResult> Submit(const serving::Request& request,
                                   std::vector<int32_t> candidates);
 
-  /// Full form: explicit candidates (empty = recall inside) and deadline.
+  /// Full form: explicit candidates (empty = recall inside) and deadline, a
+  /// budget from enqueue (<= 0 is already expired). A thin wrapper that
+  /// fulfils a promise from SubmitWithCallback.
   std::future<SlateResult> Submit(const serving::Request& request,
                                   std::vector<int32_t> candidates,
                                   int64_t deadline_micros);
@@ -129,14 +132,15 @@ class ServingEngine {
   /// per submit, from whichever thread resolves the request.
   using SlateCallback = std::function<void(SlateResult)>;
 
-  /// Callback form of Submit — the completion path of the event-loop RPC
+  /// The one submit path — the completion path of the event-loop RPC
   /// frontend: instead of parking a thread on a future, `done` is invoked
   /// exactly once with the SlateResult. It runs on the scoring worker that
-  /// finished the micro-batch, or inline on the submitting thread when the
-  /// request is rejected up front (queue full / engine shut down / deadline
-  /// already passed). `done` must be non-blocking and must not call back
-  /// into Shutdown(); the IO tier posts the result to its completion queue
-  /// and returns.
+  /// picked the request up (scored, or shed because its deadline passed),
+  /// or inline on the submitting thread when the request is rejected up
+  /// front (queue full / engine shut down). `deadline_micros` is the budget
+  /// from enqueue, as in Submit. `done` must be non-blocking and must not
+  /// call back into Shutdown(); the IO tier posts the result to its
+  /// completion queue and returns.
   void SubmitWithCallback(const serving::Request& request,
                           std::vector<int32_t> candidates,
                           int64_t deadline_micros, SlateCallback done);
@@ -179,16 +183,9 @@ class ServingEngine {
     std::vector<int32_t> candidates;  // empty = recall inside the worker
     std::chrono::steady_clock::time_point enqueue_time;
     std::chrono::steady_clock::time_point deadline;
-    std::promise<SlateResult> promise;
-    /// Non-null on the callback submit path; the promise is unused then.
+    /// Fired exactly once with the job's result.
     SlateCallback callback;
   };
-
-  /// Delivers `result` to the job's caller: its callback when one was
-  /// attached (SubmitWithCallback), its promise otherwise.
-  static void Resolve(Job* job, SlateResult result);
-  /// Shared tail of both submit paths: enqueue or reject-resolve.
-  void Enqueue(std::unique_ptr<Job> job);
 
   void WorkerLoop();
   void ProcessBatch(std::vector<std::unique_ptr<Job>> jobs);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serving/parallel_score.h"
 
 namespace basm::serving {
 
@@ -132,14 +131,6 @@ void Pipeline::EnableFaultTolerance(FeatureFaultPolicy policy) {
   fault_tolerant_ = true;
 }
 
-void Pipeline::EnableParallelScoring(ThreadPool* pool,
-                                     int64_t min_rows_per_shard) {
-  BASM_CHECK(pool != nullptr);
-  BASM_CHECK_GE(min_rows_per_shard, 1);
-  scoring_pool_ = pool;
-  min_rows_per_shard_ = min_rows_per_shard;
-}
-
 std::vector<data::Example> Pipeline::BuildExamplesFallible(
     const Request& request, const std::vector<int32_t>& candidates,
     std::chrono::steady_clock::time_point deadline,
@@ -247,14 +238,6 @@ std::vector<RankedItem> Pipeline::RankCandidates(
   std::vector<data::Example> examples = BuildExamples(request, candidates);
   // Held across the forward so a concurrent hot-swap cannot free the model.
   std::shared_ptr<const online::ServableModel> servable = AcquireServable();
-  if (scoring_pool_ != nullptr) {
-    // Parallel-armed: large slates shard across the pool; scores stay
-    // bit-identical to the serial path below.
-    std::vector<float> scores =
-        ScoreExamples(servable->model, world_.schema(), examples,
-                      scoring_pool_, min_rows_per_shard_);
-    return MakeSlate(candidates, scores, expose_k_);
-  }
   std::vector<const data::Example*> ptrs;
   ptrs.reserve(examples.size());
   for (const auto& e : examples) ptrs.push_back(&e);

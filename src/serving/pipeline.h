@@ -8,7 +8,6 @@
 #include "common/circuit_breaker.h"
 #include "common/fault.h"
 #include "common/retry.h"
-#include "common/thread_pool.h"
 #include "data/batch.h"
 #include "feature_store/feature_store.h"
 #include "models/ctr_model.h"
@@ -147,15 +146,6 @@ class Pipeline {
   bool fault_tolerant() const { return fault_tolerant_; }
   CircuitBreaker* feature_breaker() const { return fault_policy_.breaker; }
 
-  /// Arms intra-batch parallel scoring: RankCandidates splits slates of at
-  /// least 2*min_rows_per_shard candidates into contiguous shards scored on
-  /// `pool` (borrowed; must outlive the pipeline) plus the calling thread.
-  /// Scores and slates stay bit-identical to serial scoring — eval-mode
-  /// forwards are row-independent, and shard results land at fixed offsets.
-  /// Call before serving starts; serve-path methods stay const and
-  /// re-entrant afterwards.
-  void EnableParallelScoring(ThreadPool* pool, int64_t min_rows_per_shard = 64);
-
   /// Fault-tolerant example construction — the graceful-degradation stage.
   /// Fetches the user's behavior window through the breaker + retry loop,
   /// never exceeding `deadline`; on failure it falls back to the feature
@@ -211,9 +201,6 @@ class Pipeline {
   FaultInjector* fault_injector_;
   bool fault_tolerant_ = false;
   FeatureFaultPolicy fault_policy_;
-  /// Armed by EnableParallelScoring; null keeps RankCandidates serial.
-  ThreadPool* scoring_pool_ = nullptr;
-  int64_t min_rows_per_shard_ = 64;
 
   /// Shared example-construction tail of BuildExamples and its fallible
   /// twin: one Example per candidate from the given behavior window.

@@ -640,26 +640,6 @@ TEST_F(ParallelScoringTest, EngineParallelSlatesBitIdenticalToSerial) {
   }
 }
 
-TEST_F(ParallelScoringTest, PipelineParallelRankMatchesSerial) {
-  // A parallel-armed pipeline must rank exactly like the serial one.
-  ThreadPool pool(2);
-  serving::Pipeline parallel_pipeline(*world_, store_, recall_, model_,
-                                      /*recall_size=*/16, /*expose_k=*/6);
-  parallel_pipeline.EnableParallelScoring(&pool, /*min_rows_per_shard=*/8);
-
-  const std::vector<int32_t> candidates = BigSlate();
-  const serving::Request req = MakeRequest();
-  auto serial = pipeline_->RankCandidates(req, candidates);
-  auto parallel = parallel_pipeline.RankCandidates(req, candidates);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t p = 0; p < serial.size(); ++p) {
-    EXPECT_EQ(parallel[p].item_id, serial[p].item_id);
-    EXPECT_EQ(parallel[p].score, serial[p].score);
-    EXPECT_EQ(parallel[p].position, serial[p].position);
-  }
-  pool.Shutdown();
-}
-
 TEST_F(ParallelScoringTest, EngineScoringReusesArenaBlocks) {
   // Steady-state serving must stop allocating: after a warmup batch seeds
   // each worker's freelist, later identical batches should be served almost

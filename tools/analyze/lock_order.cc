@@ -31,9 +31,6 @@ const std::vector<std::pair<const char*, const char*>>& AllowedEdges() {
       {"OnlineTrainer::lifecycle_mu_", "BlockingQueue::mu_"},
       // Registry publish updates the slot's servable pointer.
       {"ModelRegistry::mu_", "ModelSlot::mu_"},
-      // Server lifecycle drains its handler pool (and the pool's queue).
-      {"RpcServer::lifecycle_mu_", "ThreadPool::mu_"},
-      {"RpcServer::lifecycle_mu_", "BlockingQueue::mu_"},
       // Epoll server lifecycle starts/stops its IO loops (each loop has its
       // own lifecycle and task locks) and waits out in-flight submissions.
       {"EpollRpcServer::lifecycle_mu_", "EventLoop::lifecycle_mu_"},
