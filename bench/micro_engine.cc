@@ -5,6 +5,11 @@
 // micro-batch distribution, then demonstrates reject-on-full backpressure
 // with an undersized queue.
 //
+// It first times BASM's two eval forwards per candidate row — the
+// per-candidate reference and the request path (DESIGN §17) — over
+// behavior windows of 12, 48 and 200 events at 1 and 4 requests per batch,
+// and writes them as the "forward" section of BENCH_serving.json.
+//
 // Intentionally a plain main() (not google-benchmark): each cell of the
 // sweep is one long closed-loop run with its own latency recorder, which
 // benchmark's stat framework would only obscure.
@@ -12,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -19,8 +25,11 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/variable.h"
 #include "bench_json.h"
 #include "common/env.h"
+#include "common/timer.h"
+#include "core/basm_model.h"
 #include "tensor/arena.h"
 #include "data/synth.h"
 #include "core/model_zoo.h"
@@ -49,14 +58,132 @@ void AppendJsonNumber(std::ostringstream& out, double value) {
   out << buf;
 }
 
-}  // namespace
-
-int main() {
+data::SynthConfig EngineWorldConfig() {
   data::SynthConfig config = data::SynthConfig::Eleme();
   config.num_users = 2000;
   config.num_items = 1500;
   config.num_cities = 8;
-  data::World world(config);
+  return config;
+}
+
+std::vector<float> Probabilities(const autograd::Variable& logits) {
+  std::vector<float> p(logits.numel());
+  for (int64_t i = 0; i < logits.numel(); ++i) {
+    p[i] = 1.0f / (1.0f + std::exp(-logits.value()[i]));
+  }
+  return p;
+}
+
+/// Per-row cost of BASM's reference and request-path eval forwards, one
+/// cell per (seq_len, requests per batch, path). Each path keeps its
+/// fastest of several alternating rounds; max_abs_dp is the largest
+/// probability gap to the reference over every timed row.
+std::string ForwardCells() {
+  const int32_t num_requests = basm::FastMode() ? 8 : 32;
+  constexpr int kRounds = 5;
+  std::ostringstream json;
+  json << "[";
+  std::printf("forward per candidate row (BASM, recall 24, %d requests)\n"
+              "%-8s %-9s %-10s %-11s %s\n",
+              num_requests, "seq_len", "requests", "path", "us_per_row",
+              "max_abs_dp");
+  autograd::NoGradGuard no_grad;
+  ArenaScope arena;
+  bool first = true;
+  for (int64_t seq_len : {12, 48, 200}) {
+    data::SynthConfig config = EngineWorldConfig();
+    config.seq_len = seq_len;
+    data::World world(config);
+    feature_store::FeatureServer features(world, seq_len, 3);
+    feature_store::FeatureStore store(&features);
+    serving::RecallIndex recall(world);
+    Rng init(42);
+    core::Basm model(world.schema(), core::BasmConfig::Full(), init);
+    model.SetTraining(false);
+    serving::Pipeline pipeline(world, &store, &recall, &model,
+                               /*recall_size=*/24, /*expose_k=*/8);
+    runtime::LoadConfig load;
+    load.num_requests = num_requests;
+    runtime::LoadGenerator traffic(world, load);
+    std::vector<std::vector<data::Example>> examples;
+    for (int32_t i = 0; i < num_requests; ++i) {
+      const serving::Request request = traffic.MakeRequest(i);
+      Rng rng = Rng(7).Fork(static_cast<uint64_t>(request.request_id));
+      examples.push_back(
+          pipeline.BuildExamples(request, pipeline.Recall(request, rng)));
+    }
+    for (int32_t per_batch : {1, 4}) {
+      std::vector<data::Batch> batches;
+      int64_t rows = 0;
+      for (size_t i = 0; i + per_batch <= examples.size(); i += per_batch) {
+        std::vector<const data::Example*> ptrs;
+        for (size_t j = i; j < i + per_batch; ++j) {
+          for (const data::Example& e : examples[j]) ptrs.push_back(&e);
+        }
+        batches.push_back(data::MakeBatch(ptrs, world.schema()));
+        rows += batches.back().size;
+      }
+      double best[2] = {INFINITY, INFINITY};
+      float max_dp = 0.0f;
+      for (int round = 0; round <= kRounds; ++round) {
+        for (int path = 0; path < 2; ++path) {
+          WallTimer timer;
+          for (const data::Batch& b : batches) {
+            if (path == 0) {
+              model.ForwardLogitsReference(b);
+            } else {
+              model.ForwardLogits(b);
+            }
+          }
+          const double us = timer.ElapsedSeconds() * 1e6 / rows;
+          if (round > 0) best[path] = std::min(best[path], us);
+        }
+      }
+      for (const data::Batch& b : batches) {
+        const std::vector<float> reference =
+            Probabilities(model.ForwardLogitsReference(b));
+        const std::vector<float> request =
+            Probabilities(model.ForwardLogits(b));
+        for (size_t i = 0; i < request.size(); ++i) {
+          max_dp = std::max(max_dp, std::abs(request[i] - reference[i]));
+        }
+      }
+      for (int path = 0; path < 2; ++path) {
+        const char* name = path == 0 ? "reference" : "request";
+        const double dp = path == 0 ? 0.0 : max_dp;
+        std::printf("%-8lld %-9d %-10s %-11.2f %.3g\n",
+                    static_cast<long long>(seq_len), per_batch, name,
+                    best[path], dp);
+        json << (first ? "" : ",") << "\n    {\"seq_len\": " << seq_len
+             << ", \"requests\": " << per_batch << ", \"path\": \"" << name
+             << "\", \"us_per_row\": ";
+        AppendJsonNumber(json, best[path]);
+        char dp_buf[32];
+        std::snprintf(dp_buf, sizeof(dp_buf), "%.3g", dp);
+        json << ", \"max_abs_dp\": " << dp_buf << "}";
+        first = false;
+      }
+    }
+  }
+  json << "\n  ]";
+  return json.str();
+}
+
+}  // namespace
+
+int main() {
+  const std::string forward = ForwardCells();
+  const std::string serving_json_path =
+      basm::EnvString("BASM_BENCH_JSON", "BENCH_serving.json");
+  if (basm::bench::UpdateBenchJsonSection(serving_json_path, "forward",
+                                          forward)) {
+    std::printf("wrote \"forward\" section of %s\n\n",
+                serving_json_path.c_str());
+  } else {
+    std::printf("FAILED to write %s\n\n", serving_json_path.c_str());
+  }
+
+  data::World world(EngineWorldConfig());
 
   feature_store::FeatureServer features(world, world.config().seq_len, 3);
   feature_store::FeatureStore store(&features);

@@ -415,6 +415,22 @@ Variable RepeatInterleaveRows(const Variable& a, int64_t times) {
   });
 }
 
+Variable GatherRows(const Variable& a, const std::vector<int32_t>& index) {
+  Tensor value = ops::GatherRows(a.value(), index);
+  auto an = a.node();
+  return MakeNode({a}, std::move(value), [an, index](Node& node) {
+    if (!an->requires_grad) return;
+    const int64_t n = an->value.cols();
+    Tensor d(an->value.shape());
+    for (size_t i = 0; i < index.size(); ++i) {
+      float* dst = d.data() + static_cast<int64_t>(index[i]) * n;
+      const float* src = node.grad.data() + static_cast<int64_t>(i) * n;
+      for (int64_t j = 0; j < n; ++j) dst[j] += src[j];
+    }
+    Accumulate(an, d);
+  });
+}
+
 Variable EmbeddingLookup(const Variable& table,
                          const std::vector<int32_t>& indices) {
   const Tensor& t = table.value();

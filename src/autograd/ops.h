@@ -82,6 +82,11 @@ Variable RepeatInterleaveRows(const Variable& a, int64_t times);
 
 /// -- Gather / scatter ------------------------------------------------------------------
 
+/// Rows `index[i]` of a rank-2 `a` ([m,n]): result is [index.size(), n].
+/// Broadcasts request-level rows to the candidate rows of a batch; backward
+/// scatter-adds each row's gradient into its source row.
+Variable GatherRows(const Variable& a, const std::vector<int32_t>& index);
+
 /// Gathers rows of `table` ([N,D]): result is [indices.size(), D]. Backward
 /// scatter-adds into the table gradient; the touched-row set is recorded on
 /// the table node's side through the dense gradient.

@@ -63,6 +63,13 @@ const Tensor& Basm::last_alphas() const {
 }
 
 ag::Variable Basm::Hidden(const data::Batch& batch) {
+  // Keyed on eval mode, not on GradEnabled(): a server scoring under
+  // NoGradGuard and a serial oracle scoring with gradients on must take
+  // the same path to produce the same bits.
+  return training() ? ReferenceHidden(batch) : RequestHidden(batch);
+}
+
+ag::Variable Basm::ReferenceHidden(const data::Batch& batch) {
   models::FeatureEncoder::FieldEmbeddings f = encoder_->Encode(batch);
   ag::Variable interest = attention_->Forward(f.query, f.seq, batch.seq_mask);
 
@@ -84,8 +91,47 @@ ag::Variable Basm::Hidden(const data::Batch& batch) {
   return tower_->Forward(semantic, f.context);
 }
 
+ag::Variable Basm::RequestHidden(const data::Batch& batch) {
+  BASM_CHECK_EQ(static_cast<int64_t>(batch.row_request.size()), batch.size)
+      << "the request path needs MakeBatch's request block";
+  const std::vector<int32_t>& rows = batch.row_request;
+  const data::Batch requests = data::RequestBlock(batch);
+  // Request side on R rows, candidate side on B rows.
+  models::FeatureEncoder::FieldEmbeddings r =
+      encoder_->EncodeRequestSide(requests);
+  models::FeatureEncoder::FieldEmbeddings c =
+      encoder_->EncodeCandidateSide(batch);
+  ag::Variable interest =
+      attention_->ForwardRequests(c.query, r.seq, requests.seq_mask, rows);
+
+  std::vector<ag::Variable> fields;
+  if (config_.use_stael) {
+    fields = stael_->ForwardRequests(
+        {r.user, interest, c.item, r.context, c.combine}, r.context, rows);
+  } else {
+    fields = {ag::GatherRows(r.user, rows), interest, c.item,
+              ag::GatherRows(r.context, rows), c.combine};
+  }
+  ag::Variable h_hat = ag::ConcatCols(fields);
+
+  ag::Variable semantic;
+  if (config_.use_ststl) {
+    semantic = ststl_->ForwardRequests(h_hat, r.context,
+                                       r.seq_filtered_pooled, rows);
+  } else {
+    semantic = static_semantic_->Forward(h_hat);
+  }
+  semantic = ag::LeakyRelu(semantic, 0.01f);
+
+  return tower_->ForwardRequests(semantic, r.context, rows);
+}
+
 ag::Variable Basm::ForwardLogits(const data::Batch& batch) {
   return ag::Reshape(out_->Forward(Hidden(batch)), {batch.size});
+}
+
+ag::Variable Basm::ForwardLogitsReference(const data::Batch& batch) {
+  return ag::Reshape(out_->Forward(ReferenceHidden(batch)), {batch.size});
 }
 
 ag::Variable Basm::FinalRepresentation(const data::Batch& batch) {

@@ -51,17 +51,36 @@ struct BasmConfig {
 /// embeddings by spatiotemporal context, StSTL transforms the concatenated
 /// raw semantic into spatiotemporal semantic via meta-generated parameters,
 /// and StABT classifies through spatiotemporally modulated FC+BN layers.
+///
+/// Two forwards compute the same function. Training mode runs the
+/// per-candidate forward: every row is encoded and conditioned on its own.
+/// Eval mode runs the request path: the user, context and behavior side is
+/// encoded, attended over and turned into StAEL/StSTL/StABT conditioning
+/// once per request of the batch's request block and broadcast to the
+/// candidate rows (DESIGN §17).
 class Basm : public models::CtrModel {
  public:
   Basm(const data::Schema& schema, const BasmConfig& config, Rng& rng);
 
+  /// Request path in eval mode, per-candidate forward in training mode.
+  /// The request path is inference only: its target attention yields a
+  /// constant, so no gradient reaches the attention or the sequence
+  /// embeddings through it. Trainers switch to training mode before they
+  /// run Backward.
   autograd::Variable ForwardLogits(const data::Batch& batch) override;
   autograd::Variable FinalRepresentation(const data::Batch& batch) override;
+
+  /// The per-candidate forward in either mode: the request path's oracle.
+  /// It agrees with the request path up to float reassociation in the
+  /// target attention's first layer.
+  autograd::Variable ForwardLogitsReference(const data::Batch& batch);
+
   std::string name() const override;
 
   const BasmConfig& config() const { return config_; }
 
-  /// StAEL gate values of the last forward pass: [B, 5] ordered as
+  /// StAEL gate values of the last forward pass run with gradients
+  /// enabled: [B, 5] ordered as
   /// user | behavior-seq | item | context | combine. Empty when StAEL is
   /// ablated away.
   const Tensor& last_alphas() const;
@@ -71,6 +90,8 @@ class Basm : public models::CtrModel {
 
  private:
   autograd::Variable Hidden(const data::Batch& batch);
+  autograd::Variable ReferenceHidden(const data::Batch& batch);
+  autograd::Variable RequestHidden(const data::Batch& batch);
 
   BasmConfig config_;
   std::unique_ptr<models::FeatureEncoder> encoder_;

@@ -36,13 +36,30 @@ StABT::StABT(int64_t in_dim, std::vector<int64_t> hidden, int64_t ctx_dim,
 }
 
 ag::Variable StABT::Forward(const ag::Variable& x, const ag::Variable& h_c) {
+  return Run(x, h_c, nullptr);
+}
+
+ag::Variable StABT::ForwardRequests(const ag::Variable& x,
+                                    const ag::Variable& h_c,
+                                    const std::vector<int32_t>& row_request) {
+  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), x.value().rows());
+  return Run(x, h_c, &row_request);
+}
+
+ag::Variable StABT::Run(const ag::Variable& x, const ag::Variable& h_c,
+                        const std::vector<int32_t>* row_request) {
+  // sigmoid(FCN_bias(h_c)), broadcast to the rows of x on the request path.
+  auto modulation = [&](const nn::Linear& gen) {
+    ag::Variable m = ag::Sigmoid(gen.Forward(h_c));
+    return row_request != nullptr ? ag::GatherRows(m, *row_request) : m;
+  };
   ag::Variable h = x;
   for (auto& layer : layers_) {
     // Fusion FC.
     ag::Variable pre = layer.fc->Forward(h);  // (W_t h + b_t): [B, out]
     if (adaptive_) {
-      ag::Variable w_bias = ag::Sigmoid(layer.w_bias_gen->Forward(h_c));
-      ag::Variable b_bias = ag::Sigmoid(layer.b_bias_gen->Forward(h_c));
+      ag::Variable w_bias = modulation(*layer.w_bias_gen);
+      ag::Variable b_bias = modulation(*layer.b_bias_gen);
       // (W_bias ⊙ W_t) h + (b_bias + b_t): the bias term b_t is inside
       // `pre`, so modulate the matmul part and add b_bias. Modulating after
       // the static bias would double-scale b_t, so recompute cleanly:
@@ -57,9 +74,8 @@ ag::Variable StABT::Forward(const ag::Variable& x, const ag::Variable& h_c) {
     ag::Variable normalized = layer.bn->Normalize(pre);
     ag::Variable scaled;
     if (adaptive_) {
-      ag::Variable gamma_bias =
-          ag::Sigmoid(layer.gamma_bias_gen->Forward(h_c));
-      ag::Variable beta_bias = ag::Sigmoid(layer.beta_bias_gen->Forward(h_c));
+      ag::Variable gamma_bias = modulation(*layer.gamma_bias_gen);
+      ag::Variable beta_bias = modulation(*layer.beta_bias_gen);
       ag::Variable gamma_eff =
           ag::MulRowBroadcast(gamma_bias, layer.bn->gamma());  // [B,out]
       scaled = ag::Add(

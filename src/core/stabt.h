@@ -37,6 +37,14 @@ class StABT : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& x,
                              const autograd::Variable& h_c);
 
+  /// Request path: h_c [R, ctx_dim] holds one context per request and
+  /// `row_request` [B] names each x row's request, so the four generators
+  /// of each layer run once per request. Values equal Forward on the
+  /// broadcast context bit for bit.
+  autograd::Variable ForwardRequests(const autograd::Variable& x,
+                                     const autograd::Variable& h_c,
+                                     const std::vector<int32_t>& row_request);
+
   bool adaptive() const { return adaptive_; }
   int64_t out_dim() const { return dims_.back(); }
 
@@ -50,6 +58,11 @@ class StABT : public nn::Module {
     std::unique_ptr<nn::Linear> gamma_bias_gen;
     std::unique_ptr<nn::Linear> beta_bias_gen;
   };
+
+  /// The tower; `row_request` null means h_c has one row per x row.
+  autograd::Variable Run(const autograd::Variable& x,
+                         const autograd::Variable& h_c,
+                         const std::vector<int32_t>* row_request);
 
   bool adaptive_;
   std::vector<int64_t> dims_;

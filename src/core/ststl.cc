@@ -21,4 +21,12 @@ ag::Variable StSTL::Forward(const ag::Variable& h_hat,
   return ag::Add(base_->Forward(h_hat), dynamic_->Forward(h_hat, cond));
 }
 
+ag::Variable StSTL::ForwardRequests(
+    const ag::Variable& h_hat, const ag::Variable& h_c,
+    const ag::Variable& h_ui, const std::vector<int32_t>& row_request) const {
+  ag::Variable cond = ag::ConcatCols({h_c, h_ui});
+  return ag::Add(base_->Forward(h_hat),
+                 dynamic_->ForwardRequests(h_hat, cond, row_request));
+}
+
 }  // namespace basm::core

@@ -2,6 +2,7 @@
 #define BASM_CORE_STSTL_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/dynamic.h"
 #include "nn/module.h"
@@ -29,6 +30,15 @@ class StSTL : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& h_hat,
                              const autograd::Variable& h_c,
                              const autograd::Variable& h_ui) const;
+
+  /// Request path: h_c [R, ctx_dim] and h_ui [R, behavior_dim] hold one
+  /// row per request and `row_request` [B] names each h_hat row's request,
+  /// so the meta network runs once per request. Values equal Forward on the
+  /// broadcast conditions bit for bit.
+  autograd::Variable ForwardRequests(
+      const autograd::Variable& h_hat, const autograd::Variable& h_c,
+      const autograd::Variable& h_ui,
+      const std::vector<int32_t>& row_request) const;
 
   int64_t out_dim() const { return out_dim_; }
 

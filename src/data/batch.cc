@@ -1,10 +1,43 @@
 #include "data/batch.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
+#include "tensor/tensor_ops.h"
 
 namespace basm::data {
+namespace {
+
+/// True when `width` consecutive elements at rows `a` and `b` of a
+/// row-major buffer are bitwise equal.
+template <typename T>
+bool SameRow(const T* data, int64_t width, int64_t a, int64_t b) {
+  return std::memcmp(data + a * width, data + b * width,
+                     static_cast<size_t>(width) * sizeof(T)) == 0;
+}
+
+/// True when rows `a` and `b` agree on every request-side column: the user
+/// field, the context field, the behavior sequence and both of its masks.
+bool SameRequestSide(const Batch& batch, int64_t a, int64_t b) {
+  for (const std::vector<int32_t>* col :
+       {&batch.user_id, &batch.gender, &batch.age_bucket, &batch.spend_bucket,
+        &batch.hour, &batch.time_period, &batch.city, &batch.geohash,
+        &batch.weekday}) {
+    if ((*col)[a] != (*col)[b]) return false;
+  }
+  const int64_t t = batch.seq_len;
+  for (const std::vector<int32_t>* col :
+       {&batch.seq_item, &batch.seq_category, &batch.seq_brand,
+        &batch.seq_time_period, &batch.seq_city}) {
+    if (!SameRow(col->data(), t, a, b)) return false;
+  }
+  return SameRow(batch.user_dense.data(), batch.user_dense.cols(), a, b) &&
+         SameRow(batch.seq_mask.data(), t, a, b) &&
+         SameRow(batch.seq_filter_mask.data(), t, a, b);
+}
+
+}  // namespace
 
 Batch MakeBatch(const std::vector<const Example*>& examples,
                 const Schema& schema) {
@@ -90,7 +123,56 @@ Batch MakeBatch(const std::vector<const Example*>& examples,
     batch.request_id.push_back(e.request_id);
     batch.gt_prob.push_back(e.gt_prob);
   }
+
+  batch.row_request.reserve(b);
+  for (int64_t i = 0; i < b; ++i) {
+    if (i == 0 || !SameRequestSide(batch, i - 1, i)) {
+      batch.request_row.push_back(static_cast<int32_t>(i));
+    }
+    batch.row_request.push_back(
+        static_cast<int32_t>(batch.request_row.size() - 1));
+  }
   return batch;
+}
+
+Batch RequestBlock(const Batch& batch) {
+  const int64_t r = batch.num_requests();
+  const int64_t t = batch.seq_len;
+  BASM_CHECK_GT(r, 0);
+  Batch out;
+  out.size = r;
+  out.seq_len = t;
+  out.user_dense = ops::GatherRows(batch.user_dense, batch.request_row);
+  out.seq_mask = ops::GatherRows(batch.seq_mask, batch.request_row);
+  out.seq_filter_mask =
+      ops::GatherRows(batch.seq_filter_mask, batch.request_row);
+  auto take = [&](const std::vector<int32_t>& col, std::vector<int32_t>* dst) {
+    dst->reserve(r);
+    for (int32_t row : batch.request_row) dst->push_back(col[row]);
+  };
+  take(batch.user_id, &out.user_id);
+  take(batch.gender, &out.gender);
+  take(batch.age_bucket, &out.age_bucket);
+  take(batch.spend_bucket, &out.spend_bucket);
+  take(batch.hour, &out.hour);
+  take(batch.time_period, &out.time_period);
+  take(batch.city, &out.city);
+  take(batch.geohash, &out.geohash);
+  take(batch.weekday, &out.weekday);
+  auto take_seq = [&](const std::vector<int32_t>& col,
+                      std::vector<int32_t>* dst) {
+    dst->reserve(r * t);
+    for (int32_t row : batch.request_row) {
+      dst->insert(dst->end(), col.begin() + row * t,
+                  col.begin() + (row + 1) * t);
+    }
+  };
+  take_seq(batch.seq_item, &out.seq_item);
+  take_seq(batch.seq_category, &out.seq_category);
+  take_seq(batch.seq_brand, &out.seq_brand);
+  take_seq(batch.seq_time_period, &out.seq_time_period);
+  take_seq(batch.seq_city, &out.seq_city);
+  return out;
 }
 
 Batcher::Batcher(std::vector<const Example*> examples, const Schema& schema,

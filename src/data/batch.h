@@ -14,6 +14,12 @@ namespace basm::data {
 /// `seq_filter_mask` marks positions whose time-period matches the request
 /// context (and whose city matches) — the paper's spatiotemporally-filtered
 /// behavior u_i consumed by StSTL.
+///
+/// Every column holds one entry per row (candidate). The request block
+/// groups the rows into R requests: rows that share the request side — the
+/// user field, the context field, the behavior sequence and both of its
+/// masks — belong to one request, so a model can encode that side once per
+/// request and broadcast it (DESIGN §17).
 struct Batch {
   int64_t size = 0;
   int64_t seq_len = 0;
@@ -38,11 +44,27 @@ struct Batch {
   Tensor labels;  // [B]
   std::vector<int32_t> request_id;
   std::vector<float> gt_prob;
+
+  // request block
+  std::vector<int32_t> row_request;  // [B], request of each row
+  std::vector<int32_t> request_row;  // [R], first row of each request
+
+  int64_t num_requests() const {
+    return static_cast<int64_t>(request_row.size());
+  }
 };
 
-/// Assembles a batch from example pointers.
+/// Assembles a batch from example pointers. Consecutive examples whose
+/// request-side columns are all equal form one request of the request
+/// block; `request_id` plays no part, since two wire requests in one
+/// serving micro-batch may share it.
 Batch MakeBatch(const std::vector<const Example*>& examples,
                 const Schema& schema);
+
+/// The request-side columns of each request's first row, as a batch of R
+/// rows: the user, context and behavior-sequence columns with both masks.
+/// The candidate columns, labels, metadata and request block stay empty.
+Batch RequestBlock(const Batch& batch);
 
 /// Shuffling minibatch iterator over a fixed example list.
 class Batcher {

@@ -236,6 +236,9 @@ float World::ClickLogit(int32_t user_id, int32_t item_id, int32_t hour,
                         int32_t position, int32_t context_city,
                         const std::vector<BehaviorEvent>& recent_behaviors,
                         float noise) const {
+  BASM_CHECK_GE(position, 0);
+  BASM_CHECK_LT(position, schema_.num_positions)
+      << "position " << position << " has no position-bias slot";
   const UserProfile& u = users_[user_id];
   const ItemProfile& it = items_[item_id];
   TimePeriod tp = TimePeriodOfHour(hour);

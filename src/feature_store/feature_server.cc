@@ -35,6 +35,11 @@ FeatureServer::UserFeatures FeatureServer::GetUserFeatures(
 
 StatusOr<FeatureServer::UserFeatures> FeatureServer::FetchUserFeatures(
     int32_t user_id) const {
+  BASM_RETURN_IF_ERROR(AdmitFetch(user_id));
+  return GetUserFeatures(user_id);
+}
+
+Status FeatureServer::AdmitFetch(int32_t user_id) const {
   if (fault_injector_ != nullptr) {
     FaultDecision decision =
         fault_injector_->Evaluate(kFeatureFetchFaultSite);
@@ -48,7 +53,7 @@ StatusOr<FeatureServer::UserFeatures> FeatureServer::FetchUserFeatures(
     return Status::InvalidArgument("unknown user id " +
                                    std::to_string(user_id));
   }
-  return GetUserFeatures(user_id);
+  return Status::Ok();
 }
 
 void FeatureServer::RecordClick(int32_t user_id,

@@ -47,7 +47,15 @@ class FeatureServer {
   /// is GetUserFeatures plus one pointer test.
   [[nodiscard]] StatusOr<UserFeatures> FetchUserFeatures(int32_t user_id) const;
 
+  /// The fallible half of FetchUserFeatures without the lookup: the
+  /// injector's decision (latency, injected errors) and the id check. Ok
+  /// means a GetUserFeatures for `user_id` would succeed. FeatureStore runs
+  /// this outside its shard lock and copies the window under it, the lock
+  /// that also serializes the user's RecordClick.
+  [[nodiscard]] Status AdmitFetch(int32_t user_id) const;
+
   /// Appends a clicked item to the user's history (most recent first).
+  /// Not synchronized: callers serialize each user's reads and clicks.
   void RecordClick(int32_t user_id, const data::BehaviorEvent& event);
 
   /// Routes FetchUserFeatures through `injector` (borrowed; nullptr

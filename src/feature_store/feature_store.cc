@@ -126,32 +126,27 @@ feature_store::FeatureServer::UserFeatures FeatureStore::GetFeatures(
 StatusOr<feature_store::FeatureServer::UserFeatures> FeatureStore::FetchFeatures(
     int32_t user_id) {
   Shard& shard = *shards_[ShardOf(user_id)];
-  uint64_t version = 0;
   {
     MutexLock lock(&shard.mu);
     feature_store::FeatureServer::UserFeatures uf;
     if (ConsumePrefetchLocked(shard, user_id, &uf)) return uf;
-    auto ver = shard.versions.find(user_id);
-    version = ver == shard.versions.end() ? 0 : ver->second;
   }
-  // The server round-trip runs outside the shard lock (same discipline as
-  // Prefetch) so concurrent fetches and clicks on this shard overlap it.
-  // The version snapshot makes the cache refresh safe: a click racing the
-  // fetch bumps the version, and a stale-relative-to-that-click response is
-  // returned to the caller but not cached.
-  StatusOr<feature_store::FeatureServer::UserFeatures> fetched =
-      server_->FetchUserFeatures(user_id);  // basm-lint: allow(feature-fetch-outside-store)
+  // The server round-trip (injected latency and faults) runs outside the
+  // shard lock (same discipline as Prefetch) so concurrent fetches and
+  // clicks on this shard overlap it. The window itself is copied under the
+  // lock, which RecordClick holds while it mutates the server's window, so
+  // the copy is current and safe to cache.
+  Status admitted = server_->AdmitFetch(user_id);
   MutexLock lock(&shard.mu);
-  if (!fetched.ok()) {
+  if (!admitted.ok()) {
     ++shard.fetch_failures;
-    return fetched.status();
+    return admitted;
   }
+  feature_store::FeatureServer::UserFeatures uf =
+      server_->GetUserFeatures(user_id);
   ++shard.fresh_fetches;
-  auto ver = shard.versions.find(user_id);
-  if ((ver == shard.versions.end() ? 0 : ver->second) == version) {
-    RefreshLocked(shard, user_id, fetched.value().behaviors);
-  }
-  return fetched;
+  RefreshLocked(shard, user_id, uf.behaviors);
+  return uf;
 }
 
 std::optional<StaleFeatures> FeatureStore::LastKnownFeatures(
@@ -225,7 +220,6 @@ bool FeatureStore::Prefetch(int32_t user_id,
                             Clock::time_point deadline) {
   if (!cache_enabled()) return false;
   Shard& shard = *shards_[ShardOf(user_id)];
-  uint64_t version;
   {
     MutexLock lock(&shard.mu);
     if (Clock::now() >= deadline) {
@@ -234,26 +228,25 @@ bool FeatureStore::Prefetch(int32_t user_id,
       ++shard.prefetch_cancelled;
       return false;
     }
-    auto ver = shard.versions.find(user_id);
-    version = ver == shard.versions.end() ? 0 : ver->second;
   }
   // The server round-trip runs outside the shard lock so foreground
-  // fetches on this shard overlap it; the version snapshot above is what
-  // makes that safe (a click racing the fetch bumps the version, and the
-  // parked window is discarded at consumption instead of served).
-  StatusOr<feature_store::FeatureServer::UserFeatures> fetched =
-      server_->FetchUserFeatures(user_id);  // basm-lint: allow(feature-fetch-outside-store)
+  // fetches on this shard overlap it. The window is copied and tagged
+  // with the user's version under the lock, so a click after this point
+  // bumps the version and the parked window is discarded at consumption
+  // instead of served.
+  Status admitted = server_->AdmitFetch(user_id);
   MutexLock lock(&shard.mu);
   ++shard.prefetch_issued;
-  if (!fetched.ok()) {
+  if (!admitted.ok()) {
     ++shard.fetch_failures;
     return false;
   }
   ++shard.fresh_fetches;
-  RefreshLocked(shard, user_id, fetched.value().behaviors);
+  RefreshLocked(shard, user_id, server_->GetUserFeatures(user_id).behaviors);
   auto it = shard.index.find(user_id);
+  auto ver = shard.versions.find(user_id);
   it->second->prefetch_fresh = true;
-  it->second->prefetch_version = version;
+  it->second->prefetch_version = ver == shard.versions.end() ? 0 : ver->second;
   return true;
 }
 

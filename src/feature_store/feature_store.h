@@ -91,6 +91,10 @@ struct StaleFeatures {
 /// The raw fallible fetch (FeatureServer::FetchUserFeatures, where the
 /// FaultInjector site lives) is reachable only through this facade on the
 /// serving path; basm_lint's feature-fetch-outside-store rule enforces it.
+/// The store runs the server's fallible half (AdmitFetch) outside the shard
+/// lock and copies the window under it: the server does not synchronize
+/// its windows, and the shard lock is what orders a user's reads against
+/// their clicks.
 class FeatureStore {
  public:
   /// The server is borrowed and must outlive the store.

@@ -37,6 +37,16 @@ FeatureEncoder::FeatureEncoder(const data::Schema& schema, int64_t embed_dim,
 
 FeatureEncoder::FieldEmbeddings FeatureEncoder::Encode(
     const data::Batch& batch) const {
+  FieldEmbeddings out = EncodeRequestSide(batch);
+  FieldEmbeddings candidate = EncodeCandidateSide(batch);
+  out.item = candidate.item;
+  out.combine = candidate.combine;
+  out.query = candidate.query;
+  return out;
+}
+
+FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeRequestSide(
+    const data::Batch& batch) const {
   int64_t b = batch.size;
   int64_t t = batch.seq_len;
 
@@ -48,24 +58,12 @@ FeatureEncoder::FieldEmbeddings FeatureEncoder::Encode(
       spend_->Forward(batch.spend_bucket),
       ag::Variable::Constant(batch.user_dense),
   });
-  out.item = ag::ConcatCols({
-      item_id_->Forward(batch.item_id),
-      category_->Forward(batch.category),
-      brand_->Forward(batch.brand),
-      price_->Forward(batch.price_bucket),
-      position_->Forward(batch.position),
-      ag::Variable::Constant(batch.item_dense),
-  });
   out.context = ag::ConcatCols({
       hour_->Forward(batch.hour),
       time_period_->Forward(batch.time_period),
       city_->Forward(batch.city),
       geohash_->Forward(batch.geohash),
       weekday_->Forward(batch.weekday),
-  });
-  out.combine = ag::ConcatCols({
-      cross_sp_->Forward(batch.cross_spend_price),
-      cross_ac_->Forward(batch.cross_age_category),
   });
 
   // Sequence: flattened [B*T] lookups concatenated to [B*T, 5D].
@@ -98,6 +96,24 @@ FeatureEncoder::FieldEmbeddings FeatureEncoder::Encode(
           ag::Variable::Constant(pool_weights(batch.seq_filter_mask)),
           out.seq),
       {b, seq_dim()});
+  return out;
+}
+
+FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeCandidateSide(
+    const data::Batch& batch) const {
+  FieldEmbeddings out;
+  out.item = ag::ConcatCols({
+      item_id_->Forward(batch.item_id),
+      category_->Forward(batch.category),
+      brand_->Forward(batch.brand),
+      price_->Forward(batch.price_bucket),
+      position_->Forward(batch.position),
+      ag::Variable::Constant(batch.item_dense),
+  });
+  out.combine = ag::ConcatCols({
+      cross_sp_->Forward(batch.cross_spend_price),
+      cross_ac_->Forward(batch.cross_age_category),
+  });
 
   // Candidate-as-query in sequence space: the same tables embed the
   // candidate's item/category/brand and the *current* time-period/city.

@@ -40,7 +40,18 @@ class FeatureEncoder : public nn::Module {
     autograd::Variable query;
   };
 
+  /// Every field for every row of `batch`.
   FieldEmbeddings Encode(const data::Batch& batch) const;
+
+  /// The request-side fields (user, context, seq, seq_pooled and
+  /// seq_filtered_pooled) of every row of `batch`; the candidate-side
+  /// members stay undefined. BASM's request path passes
+  /// data::RequestBlock(batch), so each request is encoded once.
+  FieldEmbeddings EncodeRequestSide(const data::Batch& batch) const;
+
+  /// The candidate-side fields (item, combine, query) of every row of
+  /// `batch`; the request-side members stay undefined.
+  FieldEmbeddings EncodeCandidateSide(const data::Batch& batch) const;
 
   int64_t embed_dim() const { return embed_dim_; }
   int64_t user_dim() const { return 4 * embed_dim_ + 3; }

@@ -352,8 +352,10 @@ void EpollRpcServer::TryFlush(LoopShard* shard, Connection* c) {
     if (c->out_offset == front.size()) {
       c->outq.pop_front();
       c->out_offset = 0;
-      // The whole frame is in the kernel's hands (TCP_NODELAY pushes it);
-      // a client that has observed a response must find it counted.
+      // The whole frame is in the kernel's hands (TCP_NODELAY pushes it).
+      // The count lands just after the write returns, so a client may read
+      // the frame a moment before it is counted; after Stop() it covers
+      // every response.
       responses_sent_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }

@@ -1,7 +1,9 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace basm::nn {
@@ -51,6 +53,92 @@ ag::Variable TargetAttention::Forward(const ag::Variable& query,
   ag::Variable w3 = ag::Reshape(weights, {batch, 1, t});
   ag::Variable pooled = ag::BatchedMatMul(w3, keys);
   return ag::Reshape(pooled, {batch, dim_});
+}
+
+ag::Variable TargetAttention::ForwardRequests(
+    const ag::Variable& query, const ag::Variable& keys, const Tensor& mask,
+    const std::vector<int32_t>& row_request) const {
+  const Tensor& q = query.value();
+  const Tensor& k = keys.value();
+  BASM_CHECK_EQ(q.rank(), 2);
+  BASM_CHECK_EQ(k.rank(), 3);
+  const int64_t batch = q.rows();
+  const int64_t requests = k.dim(0);
+  const int64_t t = k.dim(1);
+  BASM_CHECK_EQ(q.cols(), dim_);
+  BASM_CHECK_EQ(k.dim(2), dim_);
+  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), batch);
+  BASM_CHECK_EQ(mask.rank(), 2);
+  BASM_CHECK_EQ(mask.dim(0), requests);
+  BASM_CHECK_EQ(mask.dim(1), t);
+  BASM_CHECK_EQ(score_net_->num_layers(), 2);
+  BASM_CHECK(score_net_->activation() == Activation::kLeakyRelu);
+  BASM_CHECK_EQ(score_net_->layer(1).out_features(), 1);
+
+  // Split score layer 0's [4D, H] weight into its q, k and q*k blocks. The
+  // blocks are derived per call (3*D*H floats) rather than cached, so the
+  // shared eval model stays write-free.
+  const Linear& first = score_net_->layer(0);
+  const Tensor& w = first.weight().value();
+  const int64_t h = w.cols();
+  Tensor w_q = Tensor::Uninitialized({dim_, h});
+  Tensor w_k = Tensor::Uninitialized({dim_, h});
+  Tensor w_m = Tensor::Uninitialized({dim_, h});
+  for (int64_t i = 0; i < dim_ * h; ++i) {
+    const float w_diff = w[2 * dim_ * h + i];
+    w_q[i] = w[i] + w_diff;
+    w_k[i] = w[dim_ * h + i] - w_diff;
+    w_m[i] = w[3 * dim_ * h + i];
+  }
+  const Tensor q_term = ops::MatMulBias(q, w_q, &first.bias().value());
+  const Tensor k_term = ops::MatMul(k.Reshape({requests * t, dim_}), w_k);
+
+  // Per candidate x position: W_m (q*k) + q-term + k-term, then the rest of
+  // the score net.
+  Tensor qk = Tensor::Uninitialized({batch * t, dim_});
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* qb = q.data() + b * dim_;
+    const float* kr = k.data() + row_request[b] * t * dim_;
+    float* out = qk.data() + b * t * dim_;
+    for (int64_t j = 0; j < t; ++j) {
+      for (int64_t d = 0; d < dim_; ++d) {
+        out[j * dim_ + d] = qb[d] * kr[j * dim_ + d];
+      }
+    }
+  }
+  const Tensor m_term = ops::MatMul(qk, w_m);  // [B*T, H]
+
+  // One pass per candidate x position: the three terms, the LeakyReLU
+  // (max(v, 0.01 v) is the same function, without a branch), score layer 1
+  // and the mask bias Forward adds before its softmax.
+  const Linear& second = score_net_->layer(1);
+  const float* w1 = second.weight().value().data();  // [H, 1]
+  const float b1 = second.bias().value()[0];
+  Tensor logits = Tensor::Uninitialized({batch, t});
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* qb = q_term.data() + b * h;
+    const float* mb = mask.data() + row_request[b] * t;
+    for (int64_t j = 0; j < t; ++j) {
+      const float* kj = k_term.data() + (row_request[b] * t + j) * h;
+      const float* mj = m_term.data() + (b * t + j) * h;
+      float score = 0.0f;
+      for (int64_t c = 0; c < h; ++c) {
+        const float v = mj[c] + (qb[c] + kj[c]);
+        score += std::max(v, 0.01f * v) * w1[c];
+      }
+      logits[b * t + j] = (score + b1) + (mb[j] > 0.5f ? 0.0f : -1e9f);
+    }
+  }
+  const Tensor weights = ops::RowSoftmax(logits);
+
+  // Weighted pooling of each row's request window: [1,T] x [T,D].
+  Tensor pooled = Tensor::Uninitialized({batch, dim_});
+  for (int64_t b = 0; b < batch; ++b) {
+    ops::kernels::Gemm(weights.data() + b * t,
+                       k.data() + row_request[b] * t * dim_,
+                       pooled.data() + b * dim_, 1, t, dim_);
+  }
+  return ag::Variable::Constant(std::move(pooled));
 }
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,

@@ -49,20 +49,33 @@ LowRankMetaLinear::LowRankMetaLinear(int64_t cond_dim, int64_t in, int64_t out,
 
 ag::Variable LowRankMetaLinear::Forward(const ag::Variable& x,
                                         const ag::Variable& cond) const {
+  BASM_CHECK_EQ(cond.value().rows(), x.value().rows());
+  return Apply(x, core_gen_->Forward(cond), bias_gen_->Forward(cond));
+}
+
+ag::Variable LowRankMetaLinear::ForwardRequests(
+    const ag::Variable& x, const ag::Variable& cond,
+    const std::vector<int32_t>& row_request) const {
+  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), x.value().rows());
+  return Apply(x, ag::GatherRows(core_gen_->Forward(cond), row_request),
+               ag::GatherRows(bias_gen_->Forward(cond), row_request));
+}
+
+ag::Variable LowRankMetaLinear::Apply(const ag::Variable& x,
+                                      const ag::Variable& s_flat,
+                                      const ag::Variable& bias) const {
   BASM_CHECK_EQ(x.value().cols(), in_);
   int64_t batch = x.value().rows();
-  BASM_CHECK_EQ(cond.value().rows(), batch);
 
   // h = x V: [B, r]
   ag::Variable h = ag::MatMul(x, v_);
   // core S[b]: [B, r, r] generated from the condition.
-  ag::Variable s_flat = core_gen_->Forward(cond);  // [B, r*r]
   ag::Variable s3 = ag::Reshape(s_flat, {batch, rank_, rank_});
   ag::Variable h3 = ag::Reshape(h, {batch, rank_, 1});
   ag::Variable sh = ag::Reshape(ag::BatchedMatMul(s3, h3), {batch, rank_});
   // y = (S h) U + b
   ag::Variable y = ag::MatMul(sh, u_);
-  return ag::Add(y, bias_gen_->Forward(cond));
+  return ag::Add(y, bias);
 }
 
 }  // namespace basm::nn

@@ -2,6 +2,7 @@
 #define BASM_NN_DYNAMIC_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/linear.h"
 #include "nn/module.h"
@@ -44,9 +45,22 @@ class LowRankMetaLinear : public Module {
   autograd::Variable Forward(const autograd::Variable& x,
                              const autograd::Variable& cond) const;
 
+  /// Request path: cond [R, cond_dim] holds one condition per request and
+  /// `row_request` [B] names each row's request, so the core and bias
+  /// generators run R times, not B. Values equal Forward on the broadcast
+  /// condition bit for bit.
+  autograd::Variable ForwardRequests(
+      const autograd::Variable& x, const autograd::Variable& cond,
+      const std::vector<int32_t>& row_request) const;
+
   int64_t rank() const { return rank_; }
 
  private:
+  /// y = (S (x V)) U + bias with generated s_flat [B, r*r], bias [B, out].
+  autograd::Variable Apply(const autograd::Variable& x,
+                           const autograd::Variable& s_flat,
+                           const autograd::Variable& bias) const;
+
   int64_t in_;
   int64_t out_;
   int64_t rank_;

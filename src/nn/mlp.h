@@ -22,6 +22,8 @@ class Mlp : public Module {
   autograd::Variable Forward(const autograd::Variable& x);
 
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
+  const Linear& layer(int64_t i) const { return *layers_.at(i); }
+  Activation activation() const { return act_; }
 
  private:
   Activation act_;

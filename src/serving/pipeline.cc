@@ -103,10 +103,7 @@ std::vector<data::Example> Pipeline::BuildExamplesWithBehaviors(
     const Request& request, const std::vector<int32_t>& candidates,
     const std::vector<data::BehaviorEvent>& behaviors) const {
   BASM_CHECK(!candidates.empty());
-  // Build one Example per candidate. Position is unknown pre-ranking; the
-  // production system scores with a default slot (here: middle slot) and
-  // assigns real positions after ordering.
-  const int32_t kScoringPosition = 4;
+  // One Example per candidate, all at the scoring slot.
   Rng example_rng(kExampleRngSeed);
   std::vector<data::Example> examples;
   examples.reserve(candidates.size());

@@ -88,6 +88,11 @@ struct FeatureFetchOutcome {
 /// per-shard locks.
 class Pipeline {
  public:
+  /// The rank slot every candidate is scored at. Positions are unknown
+  /// before ranking, so production scores at a default (middle) slot and
+  /// assigns real positions after ordering.
+  static constexpr int32_t kScoringPosition = 4;
+
   /// All dependencies are borrowed; the model must outlive the pipeline.
   /// The model is wrapped in a static (version-0, never swapped) servable.
   Pipeline(const data::World& world, feature_store::FeatureStore* features,

@@ -408,6 +408,19 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t len) {
   return c;
 }
 
+Tensor GatherRows(const Tensor& a, const std::vector<int32_t>& index) {
+  BASM_CHECK_EQ(a.rank(), 2);
+  const int64_t n = a.cols();
+  Tensor c = Tensor::Uninitialized({static_cast<int64_t>(index.size()), n});
+  for (size_t i = 0; i < index.size(); ++i) {
+    BASM_CHECK_GE(index[i], 0);
+    BASM_CHECK_LT(index[i], a.rows());
+    std::copy(a.data() + index[i] * n, a.data() + (index[i] + 1) * n,
+              c.data() + static_cast<int64_t>(i) * n);
+  }
+  return c;
+}
+
 Tensor Transpose(const Tensor& a) {
   BASM_CHECK_EQ(a.rank(), 2);
   Tensor c({a.cols(), a.rows()});

@@ -109,6 +109,8 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 Tensor SliceCols(const Tensor& a, int64_t start, int64_t len);
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
+/// Rows `index[i]` of a rank-2 [m,n] tensor -> [index.size(), n].
+Tensor GatherRows(const Tensor& a, const std::vector<int32_t>& index);
 
 /// Row-wise softmax of [m,n].
 Tensor RowSoftmax(const Tensor& a);

@@ -4,6 +4,7 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "data/synth.h"
 #include "gtest/gtest.h"
 #include "metrics/metrics.h"
 #include "tensor/tensor.h"
@@ -70,6 +71,19 @@ TEST(ContractDeathTest, BceLabelSizeMismatchAborts) {
 TEST(ContractDeathTest, MetricSizeMismatchAborts) {
   EXPECT_DEATH(metrics::Auc({0.5f}, {1.0f, 0.0f}), "Check failed");
   EXPECT_DEATH(metrics::GroupedAuc({0.5f}, {1.0f}, {0, 1}), "Check failed");
+}
+
+TEST(ContractDeathTest, ClickLogitPositionOutOfRangeAborts) {
+  data::SynthConfig c = data::SynthConfig::Eleme();
+  c.num_users = 20;
+  c.num_items = 20;
+  c.num_cities = 2;
+  data::World world(c);
+  const int32_t slots = static_cast<int32_t>(world.schema().num_positions);
+  const int32_t city = world.user(0).city;
+  EXPECT_GT(world.ClickProbability(0, 0, 12, slots - 1, city, {}), 0.0f);
+  EXPECT_DEATH(world.ClickLogit(0, 0, 12, slots, city, {}), "Check failed");
+  EXPECT_DEATH(world.ClickLogit(0, 0, 12, -1, city, {}), "Check failed");
 }
 
 TEST(ContractDeathTest, RngInvalidRangeAborts) {

@@ -21,6 +21,7 @@
 #include "online/model_slot.h"
 #include "online/online_trainer.h"
 #include "feature_store/feature_server.h"
+#include "serving/pipeline.h"
 #include "serving/recall.h"
 
 namespace basm::feature_store {
@@ -243,7 +244,8 @@ TEST(CrashRecoveryTest, SigkillMidStormRecoversAllAckedClicks) {
     const int32_t tp = static_cast<int32_t>(data::TimePeriodOfHour(hour));
     for (size_t i = 0; i < candidates.size(); ++i) {
       const int32_t item = candidates[i];
-      const int32_t position = static_cast<int32_t>(i);
+      // Every candidate at the one slot the serving pipeline scores at.
+      const int32_t position = serving::Pipeline::kScoringPosition;
       float p_true =
           world.ClickProbability(user, item, hour, position, city, truth);
       float s_recovered =

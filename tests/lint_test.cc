@@ -128,6 +128,9 @@ TEST(LintContentTest, RawFeatureFetchAllowedInsideTheStore) {
   EXPECT_TRUE(
       LintContent("src/feature_store/feature_store.cc", content).empty());
   EXPECT_EQ(LintContent("src/serving/pipeline.cc", content).size(), 1u);
+  const std::string admit = "Status s = server_->AdmitFetch(id);\n";
+  EXPECT_TRUE(LintContent("src/feature_store/feature_store.cc", admit).empty());
+  EXPECT_EQ(LintContent("src/serving/pipeline.cc", admit).size(), 1u);
 }
 
 TEST(LintContentTest, RawJournalIoAllowedInsideTheStoreAndItsTests) {

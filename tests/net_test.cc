@@ -567,11 +567,25 @@ TEST_F(NetServingTest, EpollLoopbackCallRoundTrips) {
     EXPECT_EQ(response.value().slate[i].position, static_cast<int32_t>(i));
   }
 
+  // The loop counts a response just after its write returns, so the client
+  // can read it a moment before it is counted: the live counters must
+  // catch up within a bounded wait, and hold after Stop joins the loops.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().core.responses_sent < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EpollServerStats live = server.stats();
+  EXPECT_EQ(live.core.connections_accepted, 1);
+  EXPECT_EQ(live.core.frames_received, 1);
+  EXPECT_EQ(live.core.responses_sent, 1);
+
+  server.Stop();
   EpollServerStats stats = server.stats();
   EXPECT_EQ(stats.core.connections_accepted, 1);
   EXPECT_EQ(stats.core.frames_received, 1);
   EXPECT_EQ(stats.core.responses_sent, 1);
-  server.Stop();
 }
 
 TEST_F(NetServingTest, EpollMalformedFrameCorpusRejected) {

@@ -34,11 +34,10 @@ const std::set<std::string>& BlockingTokens() {
 /// loop thread must never do. The loop uses the Chunk/Try variants instead.
 const std::set<std::string>& BlockingWrappers() {
   static const std::set<std::string> kWrappers = {
-      "ReadAll",        "WriteAll", "Accept",
-      "WaitAcceptable", "WaitReadable",
+      "ReadAll", "WriteAll", "Accept", "WaitReadable",
       // Blocking submit/round-trip APIs: the loop must use the
       // callback-based SubmitAsync path.
-      "Submit",         "HandleRequestBlocking", "Call",
+      "Submit",  "Call",
   };
   return kWrappers;
 }

@@ -8,12 +8,15 @@
 //          (frontend, replicas, connections, window); the replica sweep
 //          carries only "replicas", the connection-scaling and pipelining
 //          sweeps add "frontend"/"connections"/"window"
+//   "forward" (BENCH_serving.json) — BASM forward us_per_row per
+//          (seq_len, requests, path) cell; only the request path is gated,
+//          and there a rise (not a drop) beyond the threshold fails
 //
 //   bench_diff <baseline.json> <current.json> [--max-regression=20]
 //
-// A missing baseline — or one carrying neither section — exits 0 ("nothing
-// to compare") so the first run of a new branch passes; CI treats the
-// download step the same way. Each section is gated independently, so the
+// A missing baseline — or one carrying none of these sections — exits 0
+// ("nothing to compare") so the first run of a new branch passes; CI treats
+// the download step the same way. Each section is gated independently, so the
 // same binary serves both the kernels and the serving artifact. Cells
 // present on only one side are reported but never fail the gate (sweeps
 // may change across commits).
@@ -226,35 +229,44 @@ std::string CellKey(const Cell& cell) {
   return buf;
 }
 
-struct NetCell {
-  /// Composite identity: the replica sweep keys on `replicas`, the
-  /// connection-scaling and pipelining sweeps on frontend/connections/
-  /// window. Absent keys stay at their defaults on both sides, so old
-  /// baselines (replicas-only cells) keep matching.
-  std::string frontend;
-  long replicas = 0;
-  long connections = 0;
-  long window = 0;
-  double qps = -1.0;
+/// One flat cell of a "net" or "forward" array: its string values and its
+/// top-level numeric values by key. Nested objects are walked over.
+struct FlatCell {
+  std::map<std::string, std::string> strings;
+  std::map<std::string, double> numbers;
 };
 
-std::string NetCellKey(const NetCell& cell) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "frontend=%s replicas=%ld connections=%ld window=%ld",
-                cell.frontend.empty() ? "-" : cell.frontend.c_str(),
-                cell.replicas, cell.connections, cell.window);
-  return buf;
+/// The cell's identity over `keys`: "k=v" pairs, "-" for an absent key, so
+/// cells that omit a key on both sides (old replicas-only net baselines)
+/// keep matching.
+std::string FlatCellKey(const FlatCell& cell,
+                        const std::vector<std::string>& keys) {
+  std::string out;
+  for (const std::string& key : keys) {
+    if (!out.empty()) out += ' ';
+    out += key + '=';
+    auto s = cell.strings.find(key);
+    auto n = cell.numbers.find(key);
+    if (s != cell.strings.end()) {
+      out += s->second;
+    } else if (n != cell.numbers.end()) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%g", n->second);
+      out += buf;
+    } else {
+      out += '-';
+    }
+  }
+  return out;
 }
 
-/// Extracts every cell of the "net" sweeps from one BENCH_serving.json
-/// text. The cells are flat objects keyed by "replicas" (replica sweep) or
-/// "frontend"/"connections"/"window" (scaling and pipelining sweeps) with
-/// one gated metric, "qps"; other keys (latency percentiles, shed counts)
-/// ride along ungated because they vary legitimately run to run.
-std::vector<NetCell> ParseNetCells(const std::string& text) {
-  std::vector<NetCell> cells;
-  size_t pos = text.find("\"net\"");
+/// Extracts every cell of the `section` array of one BENCH_*.json text.
+/// The cells are flat objects: identity keys (numbers or strings) plus
+/// metrics; metrics the caller does not gate ride along unread.
+std::vector<FlatCell> ParseFlatCells(const std::string& text,
+                                     const std::string& section) {
+  std::vector<FlatCell> cells;
+  size_t pos = text.find('"' + section + '"');
   if (pos == std::string::npos) return cells;
   pos = text.find('[', pos);
   if (pos == std::string::npos) return cells;
@@ -268,7 +280,7 @@ std::vector<NetCell> ParseNetCells(const std::string& text) {
     }
     if (text[pos] != '{') break;  // malformed: stop rather than loop
     ++pos;
-    NetCell cell;
+    FlatCell cell;
     int depth = 1;
     while (pos < text.size() && depth > 0) {
       SkipSpace(text, &pos);
@@ -301,11 +313,9 @@ std::vector<NetCell> ParseNetCells(const std::string& text) {
           continue;
         }
         if (pos < text.size() && text[pos] == '"') {
-          // String value: the frontend tag is part of the cell identity;
-          // any other string rides along ungated.
           std::string string_value;
           if (!ParseString(text, &pos, &string_value)) break;
-          if (depth == 1 && key == "frontend") cell.frontend = string_value;
+          if (depth == 1) cell.strings[key] = string_value;
           continue;
         }
         double value = 0;
@@ -317,45 +327,64 @@ std::vector<NetCell> ParseNetCells(const std::string& text) {
           if (!SkipValue(text, &pos)) break;
           continue;
         }
-        if (depth == 1) {
-          if (key == "replicas") cell.replicas = static_cast<long>(value);
-          else if (key == "connections") cell.connections = static_cast<long>(value);
-          else if (key == "window") cell.window = static_cast<long>(value);
-          else if (key == "qps") cell.qps = value;
-        }
+        if (depth == 1) cell.numbers[key] = value;
         continue;
       }
       ++pos;  // any other token: advance
     }
-    if (cell.qps >= 0) cells.push_back(cell);
+    cells.push_back(std::move(cell));
   }
   return cells;
 }
 
-/// Gates the qps of each baseline net cell against the current run's cell
-/// with the same composite identity (frontend, replicas, connections,
-/// window). Returns the number of regressions; bumps *compared per matched
-/// cell.
-int CompareNetCells(const std::vector<NetCell>& baseline,
-                    const std::vector<NetCell>& current,
-                    double max_regression_pct, int* compared) {
+/// Keeps the cells that carry `metric` and, when `filter_key` is non-empty,
+/// whose string `filter_key` equals `filter_value`.
+std::vector<FlatCell> SelectFlatCells(std::vector<FlatCell> cells,
+                                      const std::string& metric,
+                                      const std::string& filter_key = "",
+                                      const std::string& filter_value = "") {
+  std::erase_if(cells, [&](const FlatCell& cell) {
+    if (cell.numbers.count(metric) == 0) return true;
+    if (filter_key.empty()) return false;
+    auto it = cell.strings.find(filter_key);
+    return it == cell.strings.end() || it->second != filter_value;
+  });
+  return cells;
+}
+
+/// Gates `metric` of each baseline cell against the current run's cell
+/// with the same identity over `keys`. A higher-is-better metric fails on
+/// a drop beyond the threshold, a lower-is-better one on a rise. Returns
+/// the number of regressions; bumps *compared per matched cell.
+int CompareFlatCells(const std::string& section,
+                     const std::vector<FlatCell>& baseline,
+                     const std::vector<FlatCell>& current,
+                     const std::vector<std::string>& keys,
+                     const std::string& metric, bool higher_is_better,
+                     double max_regression_pct, int* compared) {
   std::map<std::string, double> current_by_key;
-  for (const NetCell& cell : current) current_by_key[NetCellKey(cell)] = cell.qps;
+  for (const FlatCell& cell : current) {
+    current_by_key[FlatCellKey(cell, keys)] = cell.numbers.at(metric);
+  }
   int regressions = 0;
-  for (const NetCell& base : baseline) {
-    auto it = current_by_key.find(NetCellKey(base));
+  for (const FlatCell& base : baseline) {
+    const std::string key = FlatCellKey(base, keys);
+    auto it = current_by_key.find(key);
     if (it == current_by_key.end()) {
-      std::printf("  [skip] net %s: not in current run\n",
-                  NetCellKey(base).c_str());
+      std::printf("  [skip] %s %s: not in current run\n", section.c_str(),
+                  key.c_str());
       continue;
     }
     ++*compared;
-    if (base.qps <= 0) continue;
-    double delta_pct = 100.0 * (it->second - base.qps) / base.qps;
-    if (delta_pct < -max_regression_pct) {
+    const double before = base.numbers.at(metric);
+    if (before <= 0) continue;
+    const double delta_pct = 100.0 * (it->second - before) / before;
+    if (higher_is_better ? delta_pct < -max_regression_pct
+                         : delta_pct > max_regression_pct) {
       ++regressions;
-      std::printf("  [FAIL] net %s: %.3f -> %.3f qps (%.1f%%)\n",
-                  NetCellKey(base).c_str(), base.qps, it->second, delta_pct);
+      std::printf("  [FAIL] %s %s: %.3f -> %.3f %s (%+.1f%%)\n",
+                  section.c_str(), key.c_str(), before, it->second,
+                  metric.c_str(), delta_pct);
     }
   }
   return regressions;
@@ -395,10 +424,22 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> gemm_baseline = ParseGemmCells(baseline_text);
   std::vector<Cell> gemm_current = ParseGemmCells(current_text);
-  std::vector<NetCell> net_baseline = ParseNetCells(baseline_text);
-  std::vector<NetCell> net_current = ParseNetCells(current_text);
-  if (gemm_baseline.empty() && net_baseline.empty()) {
-    std::printf("bench_diff: baseline has no gemm or net cells — OK\n");
+  // "net" gates qps on every cell; "forward" gates only the request path's
+  // us_per_row (the reference path is the oracle, not the product).
+  std::vector<FlatCell> net_baseline =
+      SelectFlatCells(ParseFlatCells(baseline_text, "net"), "qps");
+  std::vector<FlatCell> net_current =
+      SelectFlatCells(ParseFlatCells(current_text, "net"), "qps");
+  std::vector<FlatCell> forward_baseline = SelectFlatCells(
+      ParseFlatCells(baseline_text, "forward"), "us_per_row", "path",
+      "request");
+  std::vector<FlatCell> forward_current = SelectFlatCells(
+      ParseFlatCells(current_text, "forward"), "us_per_row", "path",
+      "request");
+  if (gemm_baseline.empty() && net_baseline.empty() &&
+      forward_baseline.empty()) {
+    std::printf(
+        "bench_diff: baseline has no gemm, net or forward cells — OK\n");
     return 0;
   }
   if (!gemm_baseline.empty() && gemm_current.empty()) {
@@ -407,6 +448,10 @@ int main(int argc, char** argv) {
   }
   if (!net_baseline.empty() && net_current.empty()) {
     std::fprintf(stderr, "bench_diff: current run has no net cells\n");
+    return 1;
+  }
+  if (!forward_baseline.empty() && forward_current.empty()) {
+    std::fprintf(stderr, "bench_diff: current run has no forward cells\n");
     return 1;
   }
 
@@ -439,8 +484,14 @@ int main(int argc, char** argv) {
       }
     }
   }
-  regressions += CompareNetCells(net_baseline, net_current,
-                                 max_regression_pct, &compared);
+  regressions += CompareFlatCells(
+      "net", net_baseline, net_current,
+      {"frontend", "replicas", "connections", "window"}, "qps",
+      /*higher_is_better=*/true, max_regression_pct, &compared);
+  regressions += CompareFlatCells(
+      "forward", forward_baseline, forward_current,
+      {"seq_len", "requests", "path"}, "us_per_row",
+      /*higher_is_better=*/false, max_regression_pct, &compared);
   std::printf("bench_diff: %d cells compared, %d regressions beyond %.0f%%\n",
               compared, regressions, max_regression_pct);
   return regressions > 0 ? 1 : 0;

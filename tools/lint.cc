@@ -134,10 +134,11 @@ const std::regex kStatusDeclRe(
 const std::regex kNodiscardRe(R"(\[\[\s*nodiscard\s*\]\])");
 
 /// Member calls of the raw feature-server RPC (`x.FetchUserFeatures(` /
-/// `x->FetchUserFeatures(`). Declarations and qualified mentions
-/// (`FeatureServer::FetchUserFeatures`) fail the member-access shape, so
-/// the server's own code never matches.
-const std::regex kRawFeatureFetchRe(R"((\.|->)\s*FetchUserFeatures\s*\()");
+/// `x->FetchUserFeatures(`) or its fallible half (`x->AdmitFetch(`).
+/// Declarations and qualified mentions (`FeatureServer::FetchUserFeatures`)
+/// fail the member-access shape, so the server's own code never matches.
+const std::regex kRawFeatureFetchRe(
+    R"((\.|->)\s*(FetchUserFeatures|AdmitFetch)\s*\()");
 
 /// Member calls of the raw click-journal IO surface (`x.AppendRecord(` /
 /// `x->ReplayInto(`). Durability must flow through FeatureStore::RecordClick
@@ -167,8 +168,9 @@ std::vector<RuleInfo> Rules() {
        "<iostream> in a header injects static iostream initializers into "
        "every TU; headers use <ostream> and logging goes through BASM_LOG"},
       {"feature-fetch-outside-store",
-       "direct FeatureServer::FetchUserFeatures call bypasses the sharded "
-       "FeatureStore facade (stale cache, prefetch, fault accounting); "
+       "direct FeatureServer::FetchUserFeatures/AdmitFetch call bypasses "
+       "the sharded FeatureStore facade (stale cache, prefetch, fault "
+       "accounting); "
        "fetch through feature_store::FeatureStore instead"},
       {"journal-io-outside-store",
        "direct ClickJournal append/replay bypasses the FeatureStore's "
