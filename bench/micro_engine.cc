@@ -5,10 +5,11 @@
 // micro-batch distribution, then demonstrates reject-on-full backpressure
 // with an undersized queue.
 //
-// It first times BASM's two eval forwards per candidate row — the
-// per-candidate reference and the request path (DESIGN §17) — over
-// behavior windows of 12, 48 and 200 events at 1 and 4 requests per batch,
-// and writes them as the "forward" section of BENCH_serving.json.
+// It first times the two eval forwards of BASM and Wide&Deep per candidate
+// row — the per-candidate reference and the request path (DESIGN §17) —
+// over behavior windows of 12, 48 and 200 events at 1 and 4 requests per
+// batch, and one LBS recall of 24 (DESIGN §18), and writes them as the
+// "forward" and "recall" sections of BENCH_serving.json.
 //
 // Intentionally a plain main() (not google-benchmark): each cell of the
 // sweep is one long closed-loop run with its own latency recorder, which
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -33,6 +35,7 @@
 #include "tensor/arena.h"
 #include "data/synth.h"
 #include "core/model_zoo.h"
+#include "models/wide_deep.h"
 #include "runtime/load_generator.h"
 #include "runtime/serving_engine.h"
 #include "feature_store/feature_store.h"
@@ -74,19 +77,73 @@ std::vector<float> Probabilities(const autograd::Variable& logits) {
   return p;
 }
 
-/// Per-row cost of BASM's reference and request-path eval forwards, one
-/// cell per (seq_len, requests per batch, path). Each path keeps its
-/// fastest of several alternating rounds; max_abs_dp is the largest
-/// probability gap to the reference over every timed row.
+/// Appends one model's reference and request-path eval forward cost per
+/// candidate row over `batches` to the "forward" section, one cell per
+/// path. Each path keeps its fastest of several alternating rounds;
+/// max_abs_dp is the largest probability gap to the reference over every
+/// timed row. `model_key` tags the cell with a "model" key; BASM's cells
+/// carry none, so they keep matching the committed baseline.
+template <typename Model>
+void AppendForwardCells(Model& model, const char* model_key, int64_t seq_len,
+                        int32_t per_batch,
+                        const std::vector<data::Batch>& batches,
+                        std::ostringstream& json, bool* first) {
+  constexpr int kRounds = 5;
+  int64_t rows = 0;
+  for (const data::Batch& b : batches) rows += b.size;
+  double best[2] = {INFINITY, INFINITY};
+  for (int round = 0; round <= kRounds; ++round) {
+    for (int path = 0; path < 2; ++path) {
+      WallTimer timer;
+      for (const data::Batch& b : batches) {
+        if (path == 0) {
+          model.ForwardLogitsReference(b);
+        } else {
+          model.ForwardLogits(b);
+        }
+      }
+      const double us = timer.ElapsedSeconds() * 1e6 / rows;
+      if (round > 0) best[path] = std::min(best[path], us);
+    }
+  }
+  float max_dp = 0.0f;
+  for (const data::Batch& b : batches) {
+    const std::vector<float> reference =
+        Probabilities(model.ForwardLogitsReference(b));
+    const std::vector<float> request = Probabilities(model.ForwardLogits(b));
+    for (size_t i = 0; i < request.size(); ++i) {
+      max_dp = std::max(max_dp, std::abs(request[i] - reference[i]));
+    }
+  }
+  for (int path = 0; path < 2; ++path) {
+    const char* name = path == 0 ? "reference" : "request";
+    const double dp = path == 0 ? 0.0 : max_dp;
+    std::printf("%-10s %-8lld %-9d %-10s %-11.2f %.3g\n",
+                model_key[0] != '\0' ? model_key : "basm",
+                static_cast<long long>(seq_len), per_batch, name, best[path],
+                dp);
+    json << (*first ? "" : ",") << "\n    {";
+    if (model_key[0] != '\0') json << "\"model\": \"" << model_key << "\", ";
+    json << "\"seq_len\": " << seq_len << ", \"requests\": " << per_batch
+         << ", \"path\": \"" << name << "\", \"us_per_row\": ";
+    AppendJsonNumber(json, best[path]);
+    char dp_buf[32];
+    std::snprintf(dp_buf, sizeof(dp_buf), "%.3g", dp);
+    json << ", \"max_abs_dp\": " << dp_buf << "}";
+    *first = false;
+  }
+}
+
+/// Per-row cost of the reference and request-path eval forwards of BASM
+/// and Wide&Deep, one cell per (model, seq_len, requests per batch, path).
 std::string ForwardCells() {
   const int32_t num_requests = basm::FastMode() ? 8 : 32;
-  constexpr int kRounds = 5;
   std::ostringstream json;
   json << "[";
-  std::printf("forward per candidate row (BASM, recall 24, %d requests)\n"
-              "%-8s %-9s %-10s %-11s %s\n",
-              num_requests, "seq_len", "requests", "path", "us_per_row",
-              "max_abs_dp");
+  std::printf("forward per candidate row (recall 24, %d requests)\n"
+              "%-10s %-8s %-9s %-10s %-11s %s\n",
+              num_requests, "model", "seq_len", "requests", "path",
+              "us_per_row", "max_abs_dp");
   autograd::NoGradGuard no_grad;
   ArenaScope arena;
   bool first = true;
@@ -98,9 +155,13 @@ std::string ForwardCells() {
     feature_store::FeatureStore store(&features);
     serving::RecallIndex recall(world);
     Rng init(42);
-    core::Basm model(world.schema(), core::BasmConfig::Full(), init);
-    model.SetTraining(false);
-    serving::Pipeline pipeline(world, &store, &recall, &model,
+    core::Basm basm(world.schema(), core::BasmConfig::Full(), init);
+    basm.SetTraining(false);
+    Rng wide_init(42);
+    models::WideDeep wide_deep(world.schema(), /*embed_dim=*/8, {64, 32},
+                               wide_init);
+    wide_deep.SetTraining(false);
+    serving::Pipeline pipeline(world, &store, &recall, &basm,
                                /*recall_size=*/24, /*expose_k=*/8);
     runtime::LoadConfig load;
     load.num_requests = num_requests;
@@ -114,73 +175,75 @@ std::string ForwardCells() {
     }
     for (int32_t per_batch : {1, 4}) {
       std::vector<data::Batch> batches;
-      int64_t rows = 0;
       for (size_t i = 0; i + per_batch <= examples.size(); i += per_batch) {
         std::vector<const data::Example*> ptrs;
         for (size_t j = i; j < i + per_batch; ++j) {
           for (const data::Example& e : examples[j]) ptrs.push_back(&e);
         }
         batches.push_back(data::MakeBatch(ptrs, world.schema()));
-        rows += batches.back().size;
       }
-      double best[2] = {INFINITY, INFINITY};
-      float max_dp = 0.0f;
-      for (int round = 0; round <= kRounds; ++round) {
-        for (int path = 0; path < 2; ++path) {
-          WallTimer timer;
-          for (const data::Batch& b : batches) {
-            if (path == 0) {
-              model.ForwardLogitsReference(b);
-            } else {
-              model.ForwardLogits(b);
-            }
-          }
-          const double us = timer.ElapsedSeconds() * 1e6 / rows;
-          if (round > 0) best[path] = std::min(best[path], us);
-        }
-      }
-      for (const data::Batch& b : batches) {
-        const std::vector<float> reference =
-            Probabilities(model.ForwardLogitsReference(b));
-        const std::vector<float> request =
-            Probabilities(model.ForwardLogits(b));
-        for (size_t i = 0; i < request.size(); ++i) {
-          max_dp = std::max(max_dp, std::abs(request[i] - reference[i]));
-        }
-      }
-      for (int path = 0; path < 2; ++path) {
-        const char* name = path == 0 ? "reference" : "request";
-        const double dp = path == 0 ? 0.0 : max_dp;
-        std::printf("%-8lld %-9d %-10s %-11.2f %.3g\n",
-                    static_cast<long long>(seq_len), per_batch, name,
-                    best[path], dp);
-        json << (first ? "" : ",") << "\n    {\"seq_len\": " << seq_len
-             << ", \"requests\": " << per_batch << ", \"path\": \"" << name
-             << "\", \"us_per_row\": ";
-        AppendJsonNumber(json, best[path]);
-        char dp_buf[32];
-        std::snprintf(dp_buf, sizeof(dp_buf), "%.3g", dp);
-        json << ", \"max_abs_dp\": " << dp_buf << "}";
-        first = false;
-      }
+      AppendForwardCells(basm, "", seq_len, per_batch, batches, json, &first);
+      AppendForwardCells(wide_deep, "wide_deep", seq_len, per_batch, batches,
+                         json, &first);
     }
   }
   json << "\n  ]";
   return json.str();
 }
 
+/// Cost of one LBS recall of 24 candidates (RecallIndex::RecallByCity, as
+/// Pipeline::Recall runs it) over the engine world's traffic, as the
+/// one-cell "recall" section: the fastest of several rounds.
+std::string RecallCells() {
+  constexpr int32_t kRecallSize = 24;
+  constexpr int kRounds = 5;
+  const int32_t num_requests = basm::FastMode() ? 1000 : 4000;
+  data::World world(EngineWorldConfig());
+  serving::RecallIndex recall(world);
+  runtime::LoadConfig load;
+  load.num_requests = num_requests;
+  runtime::LoadGenerator traffic(world, load);
+  std::vector<serving::Request> requests;
+  for (int32_t i = 0; i < num_requests; ++i) {
+    requests.push_back(traffic.MakeRequest(i));
+  }
+  double best = INFINITY;
+  int64_t checksum = 0;
+  for (int round = 0; round <= kRounds; ++round) {
+    WallTimer timer;
+    for (const serving::Request& request : requests) {
+      Rng rng = Rng(7).Fork(static_cast<uint64_t>(request.request_id));
+      checksum += recall.RecallByCity(request.city, kRecallSize, rng).back();
+    }
+    const double us = timer.ElapsedSeconds() * 1e6 / num_requests;
+    if (round > 0) best = std::min(best, us);
+  }
+  std::printf("recall by city, k %d, %d requests: %.2f us/request "
+              "(checksum %lld)\n",
+              kRecallSize, num_requests, best,
+              static_cast<long long>(checksum));
+  std::ostringstream json;
+  json << "[\n    {\"k\": " << kRecallSize << ", \"us_per_request\": ";
+  AppendJsonNumber(json, best);
+  json << "}\n  ]";
+  return json.str();
+}
+
 }  // namespace
 
 int main() {
-  const std::string forward = ForwardCells();
   const std::string serving_json_path =
       basm::EnvString("BASM_BENCH_JSON", "BENCH_serving.json");
-  if (basm::bench::UpdateBenchJsonSection(serving_json_path, "forward",
-                                          forward)) {
-    std::printf("wrote \"forward\" section of %s\n\n",
-                serving_json_path.c_str());
-  } else {
-    std::printf("FAILED to write %s\n\n", serving_json_path.c_str());
+  for (const auto& [section, cells] :
+       {std::pair<const char*, std::string>{"forward", ForwardCells()},
+        std::pair<const char*, std::string>{"recall", RecallCells()}}) {
+    if (basm::bench::UpdateBenchJsonSection(serving_json_path, section,
+                                            cells)) {
+      std::printf("wrote \"%s\" section of %s\n\n", section,
+                  serving_json_path.c_str());
+    } else {
+      std::printf("FAILED to write %s\n\n", serving_json_path.c_str());
+    }
   }
 
   data::World world(EngineWorldConfig());

@@ -34,11 +34,11 @@ uint32_t JournalChecksum(const uint8_t* data, size_t size) {
 
 /// Byte-by-byte little-endian stores/loads: no struct punning, no
 /// host-endianness assumptions (mirrors net/wire.cc).
-void StoreU32(uint32_t value, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(value & 0xFF));
-  out->push_back(static_cast<uint8_t>((value >> 8) & 0xFF));
-  out->push_back(static_cast<uint8_t>((value >> 16) & 0xFF));
-  out->push_back(static_cast<uint8_t>((value >> 24) & 0xFF));
+void StoreU32(uint32_t value, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(value & 0xFF);
+  out[1] = static_cast<uint8_t>((value >> 8) & 0xFF);
+  out[2] = static_cast<uint8_t>((value >> 16) & 0xFF);
+  out[3] = static_cast<uint8_t>((value >> 24) & 0xFF);
 }
 
 uint32_t LoadU32(const uint8_t* data) {
@@ -46,10 +46,6 @@ uint32_t LoadU32(const uint8_t* data) {
          (static_cast<uint32_t>(data[1]) << 8) |
          (static_cast<uint32_t>(data[2]) << 16) |
          (static_cast<uint32_t>(data[3]) << 24);
-}
-
-void StoreI32(int32_t value, std::vector<uint8_t>* out) {
-  StoreU32(static_cast<uint32_t>(value), out);
 }
 
 int32_t LoadI32(const uint8_t* data) {
@@ -102,26 +98,33 @@ bool WriteAll(int fd, const uint8_t* data, size_t size) {
 
 void ClickJournal::EncodeRecord(const ClickRecord& record,
                                 std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(kJournalClickPayloadBytes);
-  StoreI32(record.user_id, &payload);
-  StoreI32(record.event.item_id, &payload);
-  StoreI32(record.event.category, &payload);
-  StoreI32(record.event.brand, &payload);
-  StoreI32(record.event.hour, &payload);
-  StoreI32(record.event.time_period, &payload);
-  StoreI32(record.event.city, &payload);
-  StoreI32(record.event.geohash, &payload);
+  const EncodedClick bytes = EncodeClick(record);
+  out->insert(out->end(), bytes.begin(), bytes.end());
+}
 
-  out->reserve(out->size() + kJournalHeaderBytes + payload.size());
-  StoreU32(kJournalMagic, out);
-  out->push_back(kJournalVersion);
-  out->push_back(kJournalClickRecord);
-  out->push_back(0);  // flags
-  out->push_back(0);
-  StoreU32(static_cast<uint32_t>(payload.size()), out);
-  StoreU32(JournalChecksum(payload.data(), payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
+ClickJournal::EncodedClick ClickJournal::EncodeClick(
+    const ClickRecord& record) {
+  EncodedClick bytes;
+  uint8_t* payload = bytes.data() + kJournalHeaderBytes;
+  const int32_t fields[] = {record.user_id,           record.event.item_id,
+                            record.event.category,    record.event.brand,
+                            record.event.hour,        record.event.time_period,
+                            record.event.city,        record.event.geohash};
+  static_assert(sizeof(fields) == kJournalClickPayloadBytes);
+  for (size_t i = 0; i < std::size(fields); ++i) {
+    StoreU32(static_cast<uint32_t>(fields[i]), payload + 4 * i);
+  }
+
+  StoreU32(kJournalMagic, bytes.data());
+  bytes[4] = kJournalVersion;
+  bytes[5] = kJournalClickRecord;
+  bytes[6] = 0;  // flags
+  bytes[7] = 0;
+  StoreU32(static_cast<uint32_t>(kJournalClickPayloadBytes),
+           bytes.data() + 8);
+  StoreU32(JournalChecksum(payload, kJournalClickPayloadBytes),
+           bytes.data() + 12);
+  return bytes;
 }
 
 Status ClickJournal::DecodeRecord(const uint8_t* data, size_t size,
@@ -281,8 +284,7 @@ Status ClickJournal::AppendRecord(int32_t user_id,
     }
   }
 
-  std::vector<uint8_t> record;
-  EncodeRecord(ClickRecord{user_id, event}, &record);
+  const EncodedClick record = EncodeClick(ClickRecord{user_id, event});
 
   MutexLock lock(&mu_);
   if (broken_ || fd_ < 0) {

@@ -1,6 +1,7 @@
 #ifndef BASM_FEATURE_STORE_JOURNAL_H_
 #define BASM_FEATURE_STORE_JOURNAL_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -146,6 +147,11 @@ class ClickJournal {
   /// reports the bytes consumed.
   static void EncodeRecord(const ClickRecord& record,
                            std::vector<uint8_t>* out);
+  /// One click record, header + payload, as a fixed-size value: the
+  /// append path encodes into it without touching the heap.
+  using EncodedClick =
+      std::array<uint8_t, kJournalHeaderBytes + kJournalClickPayloadBytes>;
+  static EncodedClick EncodeClick(const ClickRecord& record);
   [[nodiscard]] static Status DecodeRecord(const uint8_t* data, size_t size,
                                            ClickRecord* out,
                                            size_t* consumed);

@@ -36,9 +36,9 @@ FeatureEncoder::FeatureEncoder(const data::Schema& schema, int64_t embed_dim,
 }
 
 FeatureEncoder::FieldEmbeddings FeatureEncoder::Encode(
-    const data::Batch& batch) const {
-  FieldEmbeddings out = EncodeRequestSide(batch);
-  FieldEmbeddings candidate = EncodeCandidateSide(batch);
+    const data::Batch& batch, Extras extras) const {
+  FieldEmbeddings out = EncodeRequestSide(batch, extras);
+  FieldEmbeddings candidate = EncodeCandidateSide(batch, extras);
   out.item = candidate.item;
   out.combine = candidate.combine;
   out.query = candidate.query;
@@ -46,7 +46,7 @@ FeatureEncoder::FieldEmbeddings FeatureEncoder::Encode(
 }
 
 FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeRequestSide(
-    const data::Batch& batch) const {
+    const data::Batch& batch, Extras extras) const {
   int64_t b = batch.size;
   int64_t t = batch.seq_len;
 
@@ -91,16 +91,18 @@ FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeRequestSide(
       ag::BatchedMatMul(ag::Variable::Constant(pool_weights(batch.seq_mask)),
                         out.seq),
       {b, seq_dim()});
-  out.seq_filtered_pooled = ag::Reshape(
-      ag::BatchedMatMul(
-          ag::Variable::Constant(pool_weights(batch.seq_filter_mask)),
-          out.seq),
-      {b, seq_dim()});
+  if ((extras & kFilteredPool) != 0) {
+    out.seq_filtered_pooled = ag::Reshape(
+        ag::BatchedMatMul(
+            ag::Variable::Constant(pool_weights(batch.seq_filter_mask)),
+            out.seq),
+        {b, seq_dim()});
+  }
   return out;
 }
 
 FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeCandidateSide(
-    const data::Batch& batch) const {
+    const data::Batch& batch, Extras extras) const {
   FieldEmbeddings out;
   out.item = ag::ConcatCols({
       item_id_->Forward(batch.item_id),
@@ -117,13 +119,15 @@ FeatureEncoder::FieldEmbeddings FeatureEncoder::EncodeCandidateSide(
 
   // Candidate-as-query in sequence space: the same tables embed the
   // candidate's item/category/brand and the *current* time-period/city.
-  out.query = ag::ConcatCols({
-      item_id_->Forward(batch.item_id),
-      category_->Forward(batch.category),
-      brand_->Forward(batch.brand),
-      time_period_->Forward(batch.time_period),
-      city_->Forward(batch.city),
-  });
+  if ((extras & kQuery) != 0) {
+    out.query = ag::ConcatCols({
+        item_id_->Forward(batch.item_id),
+        category_->Forward(batch.category),
+        brand_->Forward(batch.brand),
+        time_period_->Forward(batch.time_period),
+        city_->Forward(batch.city),
+    });
+  }
   return out;
 }
 

@@ -40,18 +40,31 @@ class FeatureEncoder : public nn::Module {
     autograd::Variable query;
   };
 
+  /// The optional outputs of an encode. A model that never reads
+  /// `seq_filtered_pooled` or `query` (Wide&Deep) asks for kNoExtras and
+  /// those members stay undefined.
+  enum Extras : unsigned {
+    kNoExtras = 0,
+    kFilteredPool = 1u << 0,  // seq_filtered_pooled
+    kQuery = 1u << 1,         // query
+    kAllExtras = kFilteredPool | kQuery,
+  };
+
   /// Every field for every row of `batch`.
-  FieldEmbeddings Encode(const data::Batch& batch) const;
+  FieldEmbeddings Encode(const data::Batch& batch,
+                         Extras extras = kAllExtras) const;
 
-  /// The request-side fields (user, context, seq, seq_pooled and
-  /// seq_filtered_pooled) of every row of `batch`; the candidate-side
-  /// members stay undefined. BASM's request path passes
+  /// The request-side fields (user, context, seq, seq_pooled and, with
+  /// kFilteredPool, seq_filtered_pooled) of every row of `batch`; the
+  /// candidate-side members stay undefined. The request paths pass
   /// data::RequestBlock(batch), so each request is encoded once.
-  FieldEmbeddings EncodeRequestSide(const data::Batch& batch) const;
+  FieldEmbeddings EncodeRequestSide(const data::Batch& batch,
+                                    Extras extras = kAllExtras) const;
 
-  /// The candidate-side fields (item, combine, query) of every row of
-  /// `batch`; the request-side members stay undefined.
-  FieldEmbeddings EncodeCandidateSide(const data::Batch& batch) const;
+  /// The candidate-side fields (item, combine and, with kQuery, query) of
+  /// every row of `batch`; the request-side members stay undefined.
+  FieldEmbeddings EncodeCandidateSide(const data::Batch& batch,
+                                      Extras extras = kAllExtras) const;
 
   int64_t embed_dim() const { return embed_dim_; }
   int64_t user_dim() const { return 4 * embed_dim_ + 3; }

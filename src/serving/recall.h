@@ -18,7 +18,9 @@ class RecallIndex {
   explicit RecallIndex(const data::World& world);
 
   /// Recalls up to `k` distinct items in `city`, favoring popular items
-  /// (a production recall stage is itself popularity-biased).
+  /// (a production recall stage is itself popularity-biased). Each pick
+  /// draws the same item, and consumes the same RNG stream, as
+  /// `rng.Categorical` over the city's popularity weights.
   std::vector<int32_t> RecallByCity(int32_t city, int32_t k, Rng& rng) const;
 
   /// Recalls items whose geohash cell matches the request's cell, falling
@@ -30,9 +32,14 @@ class RecallIndex {
   int64_t NumCells() const { return static_cast<int64_t>(by_cell_.size()); }
 
  private:
-  const data::World& world_;
+  /// One popularity-weighted pick from city `city`'s pool.
+  int32_t DrawFromCity(int32_t city, Rng& rng) const;
+
   std::vector<std::vector<int32_t>> by_city_;
-  std::vector<std::vector<double>> city_weights_;  // popularity weights
+  /// Per city, the running sums of the popularity weights in pool order:
+  /// cum[i] = w[0] + ... + w[i], added left to right as Rng::Categorical
+  /// adds them (DESIGN §18).
+  std::vector<std::vector<double>> city_cumulative_;
   std::unordered_map<int64_t, std::vector<int32_t>> by_cell_;
 };
 

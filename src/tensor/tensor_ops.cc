@@ -141,8 +141,13 @@ void ActivateInPlace(Tensor& t, Act act, float leaky_alpha) {
       for (int64_t i = 0; i < n; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
       return;
     case Act::kLeakyRelu:
+      // max(x, ax) is x > 0 ? x : ax for 0 <= a < 1, without the branch;
+      // the one exception is -inf at a = 0, which x > 0 ? x : ax sent to
+      // 0 * -inf = NaN.
+      BASM_CHECK(leaky_alpha >= 0.0f && leaky_alpha < 1.0f)
+          << "leaky_alpha " << leaky_alpha << " outside [0, 1)";
       for (int64_t i = 0; i < n; ++i) {
-        d[i] = d[i] > 0.0f ? d[i] : leaky_alpha * d[i];
+        d[i] = std::max(d[i], leaky_alpha * d[i]);
       }
       return;
     case Act::kSigmoid:

@@ -49,6 +49,14 @@ TEST(ContractDeathTest, SliceOutOfBoundsAborts) {
   EXPECT_DEATH(ops::SliceCols(a, 3, 2), "Check failed");
 }
 
+TEST(ContractDeathTest, LeakyReluAlphaOutsideUnitIntervalAborts) {
+  Tensor a({2, 2});
+  EXPECT_DEATH(ops::ActivateInPlace(a, ops::Act::kLeakyRelu, 1.0f),
+               "leaky_alpha");
+  EXPECT_DEATH(ops::ActivateInPlace(a, ops::Act::kLeakyRelu, -0.01f),
+               "leaky_alpha");
+}
+
 TEST(ContractDeathTest, EmbeddingLookupBadIndexAborts) {
   Rng rng(1);
   ag::Variable table =

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -225,6 +227,47 @@ TEST(KernelTest, InPlaceBroadcastsMatchCopies) {
   for (int64_t i = 0; i < a.numel(); ++i) {
     EXPECT_EQ(add_inplace[i], add_copy[i]);
     EXPECT_EQ(mul_inplace[i], mul_copy[i]);
+  }
+}
+
+uint32_t Bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(KernelTest, LeakyReluMaxFormBitIdenticalToBranch) {
+  using Limits = std::numeric_limits<float>;
+  // Zeros, normals, the smallest normal, denormals and large values, each
+  // with both signs.
+  const std::vector<float> finite = {
+      0.0f,           -0.0f,
+      1.0f,           -1.0f,
+      0.5f,           -0.5f,
+      3.25e-3f,       -3.25e-3f,
+      Limits::epsilon(), -Limits::epsilon(),
+      Limits::min(),  -Limits::min(),
+      Limits::denorm_min(), -Limits::denorm_min(),
+      1e-40f,         -1e-40f,
+      1e30f,          -1e30f,
+      Limits::max(),  -Limits::max()};
+  std::vector<float> special = finite;
+  special.insert(special.end(),
+                 {Limits::infinity(), -Limits::infinity(),
+                  Limits::quiet_NaN(), -Limits::quiet_NaN()});
+  // The loop ActivateInPlace ran before it took max(x, ax).
+  auto branch = [](float x, float alpha) { return x > 0.0f ? x : alpha * x; };
+  for (float alpha : {0.01f, 0.2f, 0.5f, 0.99f, 0.0f}) {
+    // At alpha 0 the branch form maps -inf to 0 * -inf = NaN and max(x, ax)
+    // keeps -inf; every other value agrees.
+    const std::vector<float>& values = alpha == 0.0f ? finite : special;
+    Tensor t({static_cast<int64_t>(values.size())}, values);
+    ops::ActivateInPlace(t, ops::Act::kLeakyRelu, alpha);
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(Bits(t[static_cast<int64_t>(i)]),
+                Bits(branch(values[i], alpha)))
+          << "alpha " << alpha << " x " << values[i];
+    }
   }
 }
 

@@ -1,11 +1,12 @@
-// Oracles of BASM's request path (DESIGN §17). Eval-mode forwards encode
-// the user, context and behavior side once per request and broadcast it;
-// these tests hold that path to two standards:
+// Oracles of the request paths of BASM and Wide&Deep (DESIGN §17).
+// Eval-mode forwards encode the user, context and behavior side once per
+// request and broadcast it; these tests hold that path to two standards:
 //
 //   * bit identity across batch composition: a request scores the same
 //     bits alone and inside any micro-batch, merged group or not;
-//   * a stated tolerance against the per-candidate reference forward,
-//     whose first attention layer sums in a different order.
+//   * against the per-candidate reference forward: a stated tolerance for
+//     BASM, whose first attention layer sums in a different order, and
+//     bit identity for Wide&Deep, whose request path only moves rows.
 
 #include <algorithm>
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "data/synth.h"
 #include "feature_store/feature_server.h"
 #include "gtest/gtest.h"
+#include "models/wide_deep.h"
 #include "serving/pipeline.h"
 #include "serving/recall.h"
 #include "train/trainer.h"
@@ -125,6 +127,48 @@ class RequestScoringTest : public ::testing::Test {
     }
     model->SetTraining(false);
     return model;
+  }
+
+  /// `n` requests whose behavior windows cycle through fresh, stale (the
+  /// newest events missing, as a last-known cache serves them) and empty.
+  static std::vector<std::vector<data::Example>> MixedWindowRequests(
+      int32_t n, Rng& rng) {
+    std::vector<std::vector<data::Example>> requests;
+    for (int32_t r = 0; r < n; ++r) {
+      const int32_t user =
+          (r * 37) % static_cast<int32_t>(world_->config().num_users);
+      std::vector<data::BehaviorEvent> window =
+          features_->GetUserFeatures(user).behaviors;
+      if (r % 3 == 1) {
+        window.erase(window.begin(),
+                     window.begin() + std::min<size_t>(3, window.size()));
+      } else if (r % 3 == 2) {
+        window.clear();
+      }
+      requests.push_back(RequestExamples(user, r, window, rng));
+    }
+    return requests;
+  }
+
+  /// A Wide&Deep model trained one epoch, in eval mode.
+  static std::unique_ptr<models::WideDeep> WideDeepModel() {
+    Rng rng(22);
+    auto model = std::make_unique<models::WideDeep>(
+        world_->schema(), /*embed_dim=*/8, std::vector<int64_t>{64, 32}, rng);
+    train::TrainConfig tc;
+    tc.epochs = 1;
+    train::Fit(*model, data::GenerateDataset(WorldConfig()), tc);
+    model->SetTraining(false);
+    return model;
+  }
+
+  /// Asserts `a` and `b` hold the same bits.
+  static void ExpectSameBits(const Tensor& a, const Tensor& b,
+                             const char* what) {
+    ASSERT_EQ(a.shape(), b.shape()) << what;
+    for (int64_t i = 0; i < a.numel(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << what << " element " << i;
+    }
   }
 
   static data::World* world_;
@@ -281,6 +325,83 @@ TEST_F(RequestScoringTest, AlphasKeepShapeAndTolerance) {
   ASSERT_EQ(alphas.cols(), 5);
   for (int64_t i = 0; i < alphas.numel(); ++i) {
     EXPECT_NEAR(alphas[i], reference[i], kTolerance) << "element " << i;
+  }
+}
+
+TEST_F(RequestScoringTest, WideDeepRequestPathBitIdenticalToPerRow) {
+  // 256 requests with fresh, stale and empty windows, 4 to a batch: the
+  // request path's logits and final representation equal the per-candidate
+  // forward's bit for bit, and each request scores the same bits inside
+  // the batch as alone.
+  Rng rng(6);
+  const std::vector<std::vector<data::Example>> requests =
+      MixedWindowRequests(256, rng);
+  std::unique_ptr<models::WideDeep> model = WideDeepModel();
+  for (size_t r = 0; r < requests.size(); r += 4) {
+    data::Batch batch = BatchOf({&requests[r], &requests[r + 1],
+                                 &requests[r + 2], &requests[r + 3]});
+    ASSERT_EQ(batch.num_requests(), 4);
+    const Tensor together = model->ForwardLogits(batch).value();
+    ExpectSameBits(together, model->ForwardLogitsReference(batch).value(),
+                   "logits vs reference");
+    const Tensor representation = model->FinalRepresentation(batch).value();
+    model->SetTraining(true);
+    ExpectSameBits(representation, model->FinalRepresentation(batch).value(),
+                   "final representation vs per-row");
+    model->SetTraining(false);
+    for (int32_t q = 0; q < 4; ++q) {
+      const Tensor alone =
+          model->ForwardLogits(BatchOf({&requests[r + q]})).value();
+      for (int32_t i = 0; i < kCandidates; ++i) {
+        ASSERT_EQ(together[q * kCandidates + i], alone[i])
+            << "request " << r + q << " row " << i;
+      }
+    }
+  }
+}
+
+TEST_F(RequestScoringTest, WideDeepMergedGroupAndRepresentation) {
+  Rng rng(7);
+  std::vector<std::vector<data::Example>> requests;
+  for (int32_t r = 0; r < 4; ++r) {
+    requests.push_back(FreshRequest(60 + r, r, rng));
+  }
+  // Request 2 twice, the second copy with its candidates reversed: the
+  // two merge into one group of the request block.
+  std::vector<data::Example> twin = requests[2];
+  std::reverse(twin.begin(), twin.end());
+  std::unique_ptr<models::WideDeep> model = WideDeepModel();
+  const std::vector<const std::vector<data::Example>*> layout = {
+      &requests[0], &requests[2], &twin, &requests[3]};
+  data::Batch batch = BatchOf(layout);
+  ASSERT_EQ(batch.num_requests(), 3);
+
+  const std::vector<float> together = model->PredictProbs(batch);
+  for (size_t r = 0; r < layout.size(); ++r) {
+    const std::vector<float> alone = model->PredictProbs(BatchOf({layout[r]}));
+    for (int32_t i = 0; i < kCandidates; ++i) {
+      ASSERT_EQ(together[r * kCandidates + i], alone[i])
+          << "request " << r << " row " << i;
+    }
+  }
+  ExpectSameBits(model->ForwardLogits(batch).value(),
+                 model->ForwardLogitsReference(batch).value(),
+                 "logits vs reference");
+
+  // FinalRepresentation: eval mode takes the request path, training mode
+  // the per-candidate one (Wide&Deep has no mode-dependent layer).
+  const Tensor request_path = model->FinalRepresentation(batch).value();
+  model->SetTraining(true);
+  const Tensor per_row = model->FinalRepresentation(batch).value();
+  model->SetTraining(false);
+  ExpectSameBits(request_path, per_row, "final representation");
+  for (size_t r = 0; r < layout.size(); ++r) {
+    const Tensor alone =
+        model->FinalRepresentation(BatchOf({layout[r]})).value();
+    for (int64_t i = 0; i < alone.numel(); ++i) {
+      ASSERT_EQ(request_path[r * alone.numel() + i], alone[i])
+          << "request " << r << " element " << i;
+    }
   }
 }
 

@@ -8,9 +8,12 @@
 //          (frontend, replicas, connections, window); the replica sweep
 //          carries only "replicas", the connection-scaling and pipelining
 //          sweeps add "frontend"/"connections"/"window"
-//   "forward" (BENCH_serving.json) — BASM forward us_per_row per
-//          (seq_len, requests, path) cell; only the request path is gated,
-//          and there a rise (not a drop) beyond the threshold fails
+//   "forward" (BENCH_serving.json) — forward us_per_row per (model,
+//          seq_len, requests, path) cell; BASM's cells carry no "model"
+//          key, Wide&Deep's carry "wide_deep". Only the request path is
+//          gated, and there a rise (not a drop) beyond the threshold fails
+//   "recall" (BENCH_serving.json) — LBS recall us_per_request per k cell;
+//          a rise beyond the threshold fails
 //
 //   bench_diff <baseline.json> <current.json> [--max-regression=20]
 //
@@ -425,7 +428,8 @@ int main(int argc, char** argv) {
   std::vector<Cell> gemm_baseline = ParseGemmCells(baseline_text);
   std::vector<Cell> gemm_current = ParseGemmCells(current_text);
   // "net" gates qps on every cell; "forward" gates only the request path's
-  // us_per_row (the reference path is the oracle, not the product).
+  // us_per_row (the reference path is the oracle, not the product);
+  // "recall" gates us_per_request on every cell.
   std::vector<FlatCell> net_baseline =
       SelectFlatCells(ParseFlatCells(baseline_text, "net"), "qps");
   std::vector<FlatCell> net_current =
@@ -436,10 +440,15 @@ int main(int argc, char** argv) {
   std::vector<FlatCell> forward_current = SelectFlatCells(
       ParseFlatCells(current_text, "forward"), "us_per_row", "path",
       "request");
+  std::vector<FlatCell> recall_baseline = SelectFlatCells(
+      ParseFlatCells(baseline_text, "recall"), "us_per_request");
+  std::vector<FlatCell> recall_current = SelectFlatCells(
+      ParseFlatCells(current_text, "recall"), "us_per_request");
   if (gemm_baseline.empty() && net_baseline.empty() &&
-      forward_baseline.empty()) {
+      forward_baseline.empty() && recall_baseline.empty()) {
     std::printf(
-        "bench_diff: baseline has no gemm, net or forward cells — OK\n");
+        "bench_diff: baseline has no gemm, net, forward or recall cells — "
+        "OK\n");
     return 0;
   }
   if (!gemm_baseline.empty() && gemm_current.empty()) {
@@ -452,6 +461,10 @@ int main(int argc, char** argv) {
   }
   if (!forward_baseline.empty() && forward_current.empty()) {
     std::fprintf(stderr, "bench_diff: current run has no forward cells\n");
+    return 1;
+  }
+  if (!recall_baseline.empty() && recall_current.empty()) {
+    std::fprintf(stderr, "bench_diff: current run has no recall cells\n");
     return 1;
   }
 
@@ -490,7 +503,10 @@ int main(int argc, char** argv) {
       /*higher_is_better=*/true, max_regression_pct, &compared);
   regressions += CompareFlatCells(
       "forward", forward_baseline, forward_current,
-      {"seq_len", "requests", "path"}, "us_per_row",
+      {"model", "seq_len", "requests", "path"}, "us_per_row",
+      /*higher_is_better=*/false, max_regression_pct, &compared);
+  regressions += CompareFlatCells(
+      "recall", recall_baseline, recall_current, {"k"}, "us_per_request",
       /*higher_is_better=*/false, max_regression_pct, &compared);
   std::printf("bench_diff: %d cells compared, %d regressions beyond %.0f%%\n",
               compared, regressions, max_regression_pct);
