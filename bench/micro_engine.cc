@@ -6,7 +6,8 @@
 // with an undersized queue.
 //
 // It first times the two eval forwards of BASM and Wide&Deep per candidate
-// row — the per-candidate reference and the request path (DESIGN §17) —
+// row — the per-candidate reference, and the request path (BASM's
+// graph-free eval forward, Wide&Deep's request path; DESIGN §17) —
 // over behavior windows of 12, 48 and 200 events at 1 and 4 requests per
 // batch, and one LBS recall of 24 (DESIGN §18), and writes them as the
 // "forward" and "recall" sections of BENCH_serving.json.

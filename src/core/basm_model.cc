@@ -1,5 +1,9 @@
 #include "core/basm_model.h"
 
+#include <algorithm>
+
+#include "tensor/tensor_ops.h"
+
 namespace basm::core {
 
 namespace ag = ::basm::autograd;
@@ -62,15 +66,11 @@ const Tensor& Basm::last_alphas() const {
   return stael_ != nullptr ? stael_->last_alphas() : empty_alphas_;
 }
 
-ag::Variable Basm::Hidden(const data::Batch& batch) {
-  // Keyed on eval mode, not on GradEnabled(): a server scoring under
-  // NoGradGuard and a serial oracle scoring with gradients on must take
-  // the same path to produce the same bits.
-  return training() ? ReferenceHidden(batch) : RequestHidden(batch);
-}
-
 ag::Variable Basm::ReferenceHidden(const data::Batch& batch) {
-  models::FeatureEncoder::FieldEmbeddings f = encoder_->Encode(batch);
+  models::FeatureEncoder::FieldEmbeddings f = encoder_->Encode(
+      batch, models::FeatureEncoder::Extras(
+                 models::FeatureEncoder::kFilteredPool |
+                 models::FeatureEncoder::kQuery));
   ag::Variable interest = attention_->Forward(f.query, f.seq, batch.seq_mask);
 
   std::vector<ag::Variable> fields = {f.user, interest, f.item, f.context,
@@ -91,43 +91,56 @@ ag::Variable Basm::ReferenceHidden(const data::Batch& batch) {
   return tower_->Forward(semantic, f.context);
 }
 
-ag::Variable Basm::RequestHidden(const data::Batch& batch) {
+Tensor Basm::EvalHidden(const data::Batch& batch) {
   BASM_CHECK_EQ(static_cast<int64_t>(batch.row_request.size()), batch.size)
-      << "the request path needs MakeBatch's request block";
+      << "the eval forward needs MakeBatch's request block";
   const std::vector<int32_t>& rows = batch.row_request;
-  const data::Batch requests = data::RequestBlock(batch);
+  for (int32_t r : rows) {
+    BASM_CHECK(r >= 0 && r < batch.num_requests()) << "row request " << r;
+  }
   // Request side on R rows, candidate side on B rows.
-  models::FeatureEncoder::FieldEmbeddings r =
-      encoder_->EncodeRequestSide(requests);
-  models::FeatureEncoder::FieldEmbeddings c =
-      encoder_->EncodeCandidateSide(batch);
-  ag::Variable interest =
-      attention_->ForwardRequests(c.query, r.seq, requests.seq_mask, rows);
+  const models::FeatureEncoder::EvalFields f = encoder_->EncodeEval(batch);
+  const Tensor interest =
+      attention_->ForwardEval(f.query, f.seq, f.seq_mask, rows);
 
-  std::vector<ag::Variable> fields;
+  // h_hat = [user; interest; item; context; combine], gated by StAEL.
+  const std::vector<const Tensor*> fields = {&f.user, &interest, &f.item,
+                                             &f.context, &f.combine};
+  Tensor h_hat = Tensor::Uninitialized({batch.size, encoder_->concat_dim()});
   if (config_.use_stael) {
-    fields = stael_->ForwardRequests(
-        {r.user, interest, c.item, r.context, c.combine}, r.context, rows);
+    stael_->ForwardEval(fields, f.context, rows, &h_hat);
   } else {
-    fields = {ag::GatherRows(r.user, rows), interest, c.item,
-              ag::GatherRows(r.context, rows), c.combine};
+    int64_t col = 0;
+    for (const Tensor* x : fields) {
+      const int64_t d = x->cols();
+      for (int64_t b = 0; b < batch.size; ++b) {
+        const int64_t s = x->rows() == batch.num_requests() ? rows[b] : b;
+        std::copy_n(x->data() + s * d, d,
+                    h_hat.data() + b * h_hat.cols() + col);
+      }
+      col += d;
+    }
   }
-  ag::Variable h_hat = ag::ConcatCols(fields);
 
-  ag::Variable semantic;
-  if (config_.use_ststl) {
-    semantic = ststl_->ForwardRequests(h_hat, r.context,
-                                       r.seq_filtered_pooled, rows);
-  } else {
-    semantic = static_semantic_->Forward(h_hat);
-  }
-  semantic = ag::LeakyRelu(semantic, 0.01f);
-
-  return tower_->ForwardRequests(semantic, r.context, rows);
+  const Tensor semantic =
+      config_.use_ststl
+          ? ststl_->ForwardEval(h_hat, f.context, f.seq_filtered_pooled, rows)
+          : ops::MatMulBiasAct(h_hat, static_semantic_->weight().value(),
+                               &static_semantic_->bias().value(),
+                               ops::Act::kLeakyRelu);
+  return tower_->ForwardEval(semantic, f.context, rows);
 }
 
+// Both entry points key on eval mode, not on GradEnabled(): a server
+// scoring under NoGradGuard and a serial oracle scoring with gradients on
+// must take the same path to produce the same bits.
 ag::Variable Basm::ForwardLogits(const data::Batch& batch) {
-  return ag::Reshape(out_->Forward(Hidden(batch)), {batch.size});
+  if (training()) return ForwardLogitsReference(batch);
+  // The output layer's [B, 1] product, reshaped to [B] as the reference's.
+  const Tensor logits = ops::MatMulBias(EvalHidden(batch),
+                                        out_->weight().value(),
+                                        &out_->bias().value());
+  return ag::Reshape(ag::Variable::Constant(logits), {batch.size});
 }
 
 ag::Variable Basm::ForwardLogitsReference(const data::Batch& batch) {
@@ -135,7 +148,8 @@ ag::Variable Basm::ForwardLogitsReference(const data::Batch& batch) {
 }
 
 ag::Variable Basm::FinalRepresentation(const data::Batch& batch) {
-  return Hidden(batch);
+  return training() ? ReferenceHidden(batch)
+                    : ag::Variable::Constant(EvalHidden(batch));
 }
 
 }  // namespace basm::core

@@ -53,26 +53,25 @@ struct BasmConfig {
 /// and StABT classifies through spatiotemporally modulated FC+BN layers.
 ///
 /// Two forwards compute the same function. Training mode runs the
-/// per-candidate forward: every row is encoded and conditioned on its own.
-/// Eval mode runs the request path: the user, context and behavior side is
-/// encoded, attended over and turned into StAEL/StSTL/StABT conditioning
-/// once per request of the batch's request block and broadcast to the
-/// candidate rows (DESIGN §17).
+/// per-candidate autograd graph: every row is encoded and conditioned on
+/// its own. Eval mode runs one graph-free pass per module over raw
+/// tensors: the user, context and behavior side is encoded, attended over
+/// and turned into StAEL/StSTL/StABT conditioning once per request of the
+/// batch's request block, and only the candidate side runs per row
+/// (DESIGN §17).
 class Basm : public models::CtrModel {
  public:
   Basm(const data::Schema& schema, const BasmConfig& config, Rng& rng);
 
-  /// Request path in eval mode, per-candidate forward in training mode.
-  /// The request path is inference only: its target attention yields a
-  /// constant, so no gradient reaches the attention or the sequence
-  /// embeddings through it. Trainers switch to training mode before they
-  /// run Backward.
+  /// The graph-free eval forward in eval mode, the per-candidate graph in
+  /// training mode. The eval forward is inference only: its logits are a
+  /// constant, so no gradient reaches a parameter through them. Trainers
+  /// switch to training mode before they run Backward.
   autograd::Variable ForwardLogits(const data::Batch& batch) override;
   autograd::Variable FinalRepresentation(const data::Batch& batch) override;
 
-  /// The per-candidate forward in either mode: the request path's oracle.
-  /// It agrees with the request path up to float reassociation in the
-  /// target attention's first layer.
+  /// The per-candidate graph in either mode: the eval forward's oracle.
+  /// The two agree up to float reassociation.
   autograd::Variable ForwardLogitsReference(const data::Batch& batch);
 
   std::string name() const override;
@@ -80,7 +79,7 @@ class Basm : public models::CtrModel {
   const BasmConfig& config() const { return config_; }
 
   /// StAEL gate values of the last forward pass run with gradients
-  /// enabled: [B, 5] ordered as
+  /// enabled, in either mode: [B, 5] ordered as
   /// user | behavior-seq | item | context | combine. Empty when StAEL is
   /// ablated away.
   const Tensor& last_alphas() const;
@@ -89,9 +88,9 @@ class Basm : public models::CtrModel {
   static const std::vector<std::string>& FieldNames();
 
  private:
-  autograd::Variable Hidden(const data::Batch& batch);
   autograd::Variable ReferenceHidden(const data::Batch& batch);
-  autograd::Variable RequestHidden(const data::Batch& batch);
+  /// The eval forward's last hidden layer: [B, tower out_dim].
+  Tensor EvalHidden(const data::Batch& batch);
 
   BasmConfig config_;
   std::unique_ptr<models::FeatureEncoder> encoder_;

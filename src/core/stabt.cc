@@ -1,5 +1,11 @@
 #include "core/stabt.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "tensor/kernels.h"
+#include "tensor/tensor_ops.h"
+
 namespace basm::core {
 
 namespace ag = ::basm::autograd;
@@ -36,22 +42,9 @@ StABT::StABT(int64_t in_dim, std::vector<int64_t> hidden, int64_t ctx_dim,
 }
 
 ag::Variable StABT::Forward(const ag::Variable& x, const ag::Variable& h_c) {
-  return Run(x, h_c, nullptr);
-}
-
-ag::Variable StABT::ForwardRequests(const ag::Variable& x,
-                                    const ag::Variable& h_c,
-                                    const std::vector<int32_t>& row_request) {
-  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), x.value().rows());
-  return Run(x, h_c, &row_request);
-}
-
-ag::Variable StABT::Run(const ag::Variable& x, const ag::Variable& h_c,
-                        const std::vector<int32_t>* row_request) {
-  // sigmoid(FCN_bias(h_c)), broadcast to the rows of x on the request path.
+  // sigmoid(FCN_bias(h_c)): [B, out].
   auto modulation = [&](const nn::Linear& gen) {
-    ag::Variable m = ag::Sigmoid(gen.Forward(h_c));
-    return row_request != nullptr ? ag::GatherRows(m, *row_request) : m;
+    return ag::Sigmoid(gen.Forward(h_c));
   };
   ag::Variable h = x;
   for (auto& layer : layers_) {
@@ -88,6 +81,74 @@ ag::Variable StABT::Run(const ag::Variable& x, const ag::Variable& h_c,
           layer.bn->beta());
     }
     h = ag::LeakyRelu(scaled, 0.01f);
+  }
+  return h;
+}
+
+Tensor StABT::ForwardEval(const Tensor& x, const Tensor& h_c,
+                         const std::vector<int32_t>& row_request) const {
+  const int64_t batch = x.rows();
+  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), batch);
+  const Tensor* in = &x;
+  Tensor h;
+  for (const Layer& layer : layers_) {
+    const int64_t out = layer.fc->out_features();
+    BASM_CHECK_EQ(in->cols(), layer.fc->in_features());
+    Tensor z = Tensor::Uninitialized({batch, out});
+    ops::kernels::Gemm(in->data(), layer.fc->weight().value().data(),
+                       z.data(), batch, in->cols(), out);
+
+    // sigmoid(FCN_bias(h_c)) of the four generators, [R, out] each: four
+    // small GEMMs over the request rows.
+    Tensor mod[4];
+    if (adaptive_) {
+      const nn::Linear* gens[4] = {
+          layer.w_bias_gen.get(), layer.b_bias_gen.get(),
+          layer.gamma_bias_gen.get(), layer.beta_bias_gen.get()};
+      for (int g = 0; g < 4; ++g) {
+        mod[g] = ops::MatMulBiasAct(h_c, gens[g]->weight().value(),
+                                    &gens[g]->bias().value(),
+                                    ops::Act::kSigmoid);
+      }
+    }
+    // Eval BN's 1/sqrt(var + eps), derived per call.
+    const Tensor& var = layer.bn->running_var();
+    Tensor inv = Tensor::Uninitialized({out});
+    for (int64_t c = 0; c < out; ++c) {
+      inv[c] = 1.0f / std::sqrt(var[c] + layer.bn->eps());
+    }
+    const float* b_t = layer.fc->bias().value().data();
+    const float* mu = layer.bn->running_mean().data();
+    const float* gamma = layer.bn->gamma().value().data();
+    const float* beta = layer.bn->beta().value().data();
+    // Fusion FC, BN and LeakyReLU in one pass over z, in Forward's
+    // per-element order.
+    for (int64_t i = 0; i < batch; ++i) {
+      float* zi = z.data() + i * out;
+      if (adaptive_) {
+        const int64_t k = row_request[i] * out;
+        const float* w_bias = mod[0].data() + k;
+        const float* b_bias = mod[1].data() + k;
+        const float* gamma_bias = mod[2].data() + k;
+        const float* beta_bias = mod[3].data() + k;
+        for (int64_t c = 0; c < out; ++c) {
+          const float pre = ((((zi[c] + b_t[c]) + -b_t[c]) * w_bias[c]) +
+                             b_t[c]) + b_bias[c];
+          const float v =
+              (((pre + -mu[c]) * inv[c]) * (gamma_bias[c] * gamma[c]) +
+               beta[c]) + beta_bias[c];
+          zi[c] = std::max(v, 0.01f * v);
+        }
+      } else {
+        for (int64_t c = 0; c < out; ++c) {
+          const float v =
+              (((zi[c] + b_t[c]) + -mu[c]) * inv[c]) * gamma[c] + beta[c];
+          zi[c] = std::max(v, 0.01f * v);
+        }
+      }
+    }
+    h = std::move(z);
+    in = &h;
   }
   return h;
 }

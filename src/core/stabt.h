@@ -37,13 +37,15 @@ class StABT : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& x,
                              const autograd::Variable& h_c);
 
-  /// Request path: h_c [R, ctx_dim] holds one context per request and
-  /// `row_request` [B] names each x row's request, so the four generators
-  /// of each layer run once per request. Values equal Forward on the
-  /// broadcast context bit for bit.
-  autograd::Variable ForwardRequests(const autograd::Variable& x,
-                                     const autograd::Variable& h_c,
-                                     const std::vector<int32_t>& row_request);
+  /// Graph-free eval forward (DESIGN §17): h_c [R, ctx_dim] holds one
+  /// context per request and `row_request` [B] names each x row's
+  /// request. The four generators of each layer run once per request; each
+  /// layer is then one GEMM, h W_t, and one pass that applies the fusion
+  /// FC, eval BN and LeakyReLU per element in Forward's order, so values
+  /// equal Forward on the broadcast context bit for bit:
+  /// [B, out_dim()].
+  Tensor ForwardEval(const Tensor& x, const Tensor& h_c,
+                     const std::vector<int32_t>& row_request) const;
 
   bool adaptive() const { return adaptive_; }
   int64_t out_dim() const { return dims_.back(); }
@@ -58,11 +60,6 @@ class StABT : public nn::Module {
     std::unique_ptr<nn::Linear> gamma_bias_gen;
     std::unique_ptr<nn::Linear> beta_bias_gen;
   };
-
-  /// The tower; `row_request` null means h_c has one row per x row.
-  autograd::Variable Run(const autograd::Variable& x,
-                         const autograd::Variable& h_c,
-                         const std::vector<int32_t>* row_request);
 
   bool adaptive_;
   std::vector<int64_t> dims_;

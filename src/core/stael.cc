@@ -1,5 +1,7 @@
 #include "core/stael.h"
 
+#include <algorithm>
+
 #include "tensor/tensor_ops.h"
 
 namespace basm::core {
@@ -18,65 +20,78 @@ StAEL::StAEL(std::vector<int64_t> field_dims, int64_t ctx_dim, Rng& rng,
   }
 }
 
-ag::Variable StAEL::Gate(size_t j, const ag::Variable& x,
-                         const ag::Variable& ctx) const {
-  ag::Variable gate_in = ag::ConcatCols({x, ctx});
-  return ag::Scale(ag::Sigmoid(gates_[j]->Forward(gate_in)), gate_scale_);
-}
-
-void StAEL::RecordAlpha(size_t j, const ag::Variable& alpha) {
-  for (int64_t i = 0; i < last_alphas_.rows(); ++i) {
-    last_alphas_.at(i, static_cast<int64_t>(j)) = alpha.value()[i];
-  }
-}
-
 std::vector<ag::Variable> StAEL::Forward(
     const std::vector<ag::Variable>& fields, const ag::Variable& ctx) {
-  return Run(fields, ctx, nullptr);
-}
-
-std::vector<ag::Variable> StAEL::ForwardRequests(
-    const std::vector<ag::Variable>& fields, const ag::Variable& ctx,
-    const std::vector<int32_t>& row_request) {
-  return Run(fields, ctx, &row_request);
-}
-
-std::vector<ag::Variable> StAEL::Run(const std::vector<ag::Variable>& fields,
-                                     const ag::Variable& ctx,
-                                     const std::vector<int32_t>* row_request) {
   BASM_CHECK_EQ(fields.size(), gates_.size());
-  const int64_t requests = ctx.value().rows();
-  const int64_t batch = row_request != nullptr
-                            ? static_cast<int64_t>(row_request->size())
-                            : requests;
+  const int64_t batch = ctx.value().rows();
   // The alpha cache is introspection state shared across callers; skip it in
   // inference mode so concurrent serving workers never write shared members.
   const bool record = ag::GradEnabled();
   if (record) last_alphas_ = Tensor({batch, num_fields()});
-
-  // ctx on the candidate rows; on the request path, gathered on demand.
-  ag::Variable ctx_rows = row_request == nullptr ? ctx : ag::Variable();
   std::vector<ag::Variable> out;
   out.reserve(fields.size());
   for (size_t j = 0; j < fields.size(); ++j) {
-    const int64_t rows = fields[j].value().rows();
-    ag::Variable alpha;
-    ag::Variable gated;
-    if (row_request != nullptr && rows == requests) {
-      ag::Variable per_request = Gate(j, fields[j], ctx);  // [R,1]
-      alpha = ag::GatherRows(per_request, *row_request);
-      gated = ag::GatherRows(ag::MulColBroadcast(fields[j], per_request),
-                             *row_request);
-    } else {
-      BASM_CHECK_EQ(rows, batch);
-      if (!ctx_rows.defined()) ctx_rows = ag::GatherRows(ctx, *row_request);
-      alpha = Gate(j, fields[j], ctx_rows);  // [B,1]
-      gated = ag::MulColBroadcast(fields[j], alpha);
+    BASM_CHECK_EQ(fields[j].value().rows(), batch);
+    // alpha_j = gate_scale * sigmoid(W_p [x_j; ctx] + b_p): [B, 1].
+    ag::Variable alpha = ag::Scale(
+        ag::Sigmoid(gates_[j]->Forward(ag::ConcatCols({fields[j], ctx}))),
+        gate_scale_);
+    if (record) {
+      for (int64_t i = 0; i < batch; ++i) {
+        last_alphas_.at(i, static_cast<int64_t>(j)) = alpha.value()[i];
+      }
     }
-    if (record) RecordAlpha(j, alpha);
-    out.push_back(gated);
+    out.push_back(ag::MulColBroadcast(fields[j], alpha));
   }
   return out;
+}
+
+void StAEL::ForwardEval(const std::vector<const Tensor*>& fields,
+                        const Tensor& ctx,
+                        const std::vector<int32_t>& row_request,
+                        Tensor* concat) {
+  BASM_CHECK_EQ(fields.size(), gates_.size());
+  const int64_t requests = ctx.rows();
+  const int64_t ctx_dim = ctx.cols();
+  const int64_t batch = static_cast<int64_t>(row_request.size());
+  const int64_t width = concat->cols();
+  BASM_CHECK_EQ(concat->rows(), batch);
+  const bool record = ag::GradEnabled();
+  if (record) last_alphas_ = Tensor({batch, num_fields()});
+
+  int64_t col = 0;
+  for (size_t j = 0; j < fields.size(); ++j) {
+    const Tensor& x = *fields[j];
+    const int64_t rows = x.rows();
+    const int64_t d = x.cols();
+    const bool per_request = rows == requests;
+    BASM_CHECK(per_request || rows == batch);
+    BASM_CHECK_LE(col + d, width);
+    // alpha_j = gate_scale * sigmoid(W_p [x; ctx] + b_p) per row of x, on
+    // the [x; ctx] rows Forward's gate Linear sees.
+    Tensor gate_in = Tensor::Uninitialized({rows, d + ctx_dim});
+    for (int64_t s = 0; s < rows; ++s) {
+      const int64_t r = per_request ? s : row_request[s];
+      float* in = gate_in.data() + s * (d + ctx_dim);
+      std::copy_n(x.data() + s * d, d, in);
+      std::copy_n(ctx.data() + r * ctx_dim, ctx_dim, in + d);
+    }
+    Tensor alpha =
+        ops::MatMulBiasAct(gate_in, gates_[j]->weight().value(),
+                           &gates_[j]->bias().value(), ops::Act::kSigmoid);
+    alpha.ScaleInPlace(gate_scale_);
+    // alpha_j * x_j into field j's columns, broadcast to the candidate rows.
+    for (int64_t b = 0; b < batch; ++b) {
+      const int64_t s = per_request ? row_request[b] : b;
+      const float a = alpha[s];
+      const float* xs = x.data() + s * d;
+      float* dst = concat->data() + b * width + col;
+      for (int64_t k = 0; k < d; ++k) dst[k] = xs[k] * a;
+      if (record) last_alphas_.at(b, static_cast<int64_t>(j)) = a;
+    }
+    col += d;
+  }
+  BASM_CHECK_EQ(col, width);
 }
 
 }  // namespace basm::core

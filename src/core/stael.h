@@ -29,15 +29,17 @@ class StAEL : public nn::Module {
       const std::vector<autograd::Variable>& fields,
       const autograd::Variable& ctx);
 
-  /// Request path: `ctx` [R, ctx_dim] holds one context per request and
-  /// `row_request` [B] names each candidate row's request. A field with R
-  /// rows is request-level: it is gated once per request and the result
-  /// broadcast. A field with B rows is gated against the broadcast context.
-  /// Every returned field has B rows; values equal Forward on the
-  /// broadcast inputs bit for bit.
-  std::vector<autograd::Variable> ForwardRequests(
-      const std::vector<autograd::Variable>& fields,
-      const autograd::Variable& ctx, const std::vector<int32_t>& row_request);
+  /// Graph-free eval forward (DESIGN §17): `ctx` [R, ctx_dim] holds one
+  /// context per request and `row_request` [B] names each candidate row's
+  /// request. A field with R rows is request-level and is gated once per
+  /// request; a field with B rows is gated per row against its request's
+  /// context. alpha_j * x_j goes straight into field j's columns of
+  /// `concat` [B, sum of field widths]. Each value equals Forward's on the
+  /// broadcast inputs bit for bit. With gradients enabled it records
+  /// last_alphas().
+  void ForwardEval(const std::vector<const Tensor*>& fields, const Tensor& ctx,
+                   const std::vector<int32_t>& row_request,
+                   Tensor* concat);
 
   /// Gate values of the most recent forward: [B, num_fields].
   const Tensor& last_alphas() const { return last_alphas_; }
@@ -48,17 +50,6 @@ class StAEL : public nn::Module {
   float gate_scale() const { return gate_scale_; }
 
  private:
-  /// alpha_j = gate_scale * sigmoid(W_p [x; ctx] + b_p) on rows that line
-  /// up between `x` and `ctx`: [rows, 1].
-  autograd::Variable Gate(size_t j, const autograd::Variable& x,
-                          const autograd::Variable& ctx) const;
-  /// Copies `alpha` [B, 1] into column j of last_alphas_.
-  void RecordAlpha(size_t j, const autograd::Variable& alpha);
-  /// The gating; `row_request` null means `ctx` has one row per field row.
-  std::vector<autograd::Variable> Run(
-      const std::vector<autograd::Variable>& fields,
-      const autograd::Variable& ctx, const std::vector<int32_t>* row_request);
-
   float gate_scale_;
   std::vector<std::unique_ptr<nn::Linear>> gates_;
   Tensor last_alphas_;

@@ -31,14 +31,16 @@ class StSTL : public nn::Module {
                              const autograd::Variable& h_c,
                              const autograd::Variable& h_ui) const;
 
-  /// Request path: h_c [R, ctx_dim] and h_ui [R, behavior_dim] hold one
-  /// row per request and `row_request` [B] names each h_hat row's request,
-  /// so the meta network runs once per request. Values equal Forward on the
-  /// broadcast conditions bit for bit.
-  autograd::Variable ForwardRequests(
-      const autograd::Variable& h_hat, const autograd::Variable& h_c,
-      const autograd::Variable& h_ui,
-      const std::vector<int32_t>& row_request) const;
+  /// Graph-free eval forward (DESIGN §17): h_hat [B, input_dim] holds one
+  /// row per candidate, h_c [R, ctx_dim] and h_ui [R, behavior_dim] one row
+  /// per request, and `row_request` [B] names each row's request, so the
+  /// meta network runs once per request. Returns LeakyReLU(h*), the
+  /// activation BASM applies to the semantic fused into the bias pass:
+  /// [B, out_dim]. Values equal those of Forward on the broadcast
+  /// conditions bit for bit.
+  Tensor ForwardEval(const Tensor& h_hat, const Tensor& h_c,
+                     const Tensor& h_ui,
+                     const std::vector<int32_t>& row_request) const;
 
   int64_t out_dim() const { return out_dim_; }
 

@@ -40,23 +40,23 @@ class FeatureEncoder : public nn::Module {
     autograd::Variable query;
   };
 
-  /// The optional outputs of an encode. A model that never reads
-  /// `seq_filtered_pooled` or `query` (Wide&Deep) asks for kNoExtras and
-  /// those members stay undefined.
+  /// The optional outputs of an encode. A model asks for the pooled
+  /// fields it reads and the rest stay undefined: Wide&Deep asks for
+  /// kPooled only, BASM for kFilteredPool | kQuery.
   enum Extras : unsigned {
-    kNoExtras = 0,
     kFilteredPool = 1u << 0,  // seq_filtered_pooled
     kQuery = 1u << 1,         // query
-    kAllExtras = kFilteredPool | kQuery,
+    kPooled = 1u << 2,        // seq_pooled
+    kAllExtras = kPooled | kFilteredPool | kQuery,
   };
 
   /// Every field for every row of `batch`.
   FieldEmbeddings Encode(const data::Batch& batch,
                          Extras extras = kAllExtras) const;
 
-  /// The request-side fields (user, context, seq, seq_pooled and, with
-  /// kFilteredPool, seq_filtered_pooled) of every row of `batch`; the
-  /// candidate-side members stay undefined. The request paths pass
+  /// The request-side fields (user, context, seq and, as asked, seq_pooled
+  /// and seq_filtered_pooled) of every row of `batch`; the candidate-side
+  /// members stay undefined. Wide&Deep's request path passes
   /// data::RequestBlock(batch), so each request is encoded once.
   FieldEmbeddings EncodeRequestSide(const data::Batch& batch,
                                     Extras extras = kAllExtras) const;
@@ -65,6 +65,25 @@ class FeatureEncoder : public nn::Module {
   /// every row of `batch`; the request-side members stay undefined.
   FieldEmbeddings EncodeCandidateSide(const data::Batch& batch,
                                       Extras extras = kAllExtras) const;
+
+  /// What BASM's graph-free eval forward reads, as raw tensors: the
+  /// request side on the R rows of the batch's request block, the
+  /// candidate side on its B rows (DESIGN §17).
+  struct EvalFields {
+    Tensor user;                 // [R, user_dim]
+    Tensor context;              // [R, context_dim]
+    Tensor seq;                  // [R, T, seq_dim]
+    Tensor seq_mask;             // [R, T]
+    Tensor seq_filtered_pooled;  // [R, seq_dim]
+    Tensor item;                 // [B, item_dim]
+    Tensor combine;              // [B, combine_dim]
+    Tensor query;                // [B, seq_dim]
+  };
+
+  /// Graph-free encode of `batch`: table rows are copied straight into
+  /// the field tensors, and each request's side is read at its
+  /// `request_row`. Values equal Encode's bit for bit.
+  EvalFields EncodeEval(const data::Batch& batch) const;
 
   int64_t embed_dim() const { return embed_dim_; }
   int64_t user_dim() const { return 4 * embed_dim_ + 3; }

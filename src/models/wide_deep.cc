@@ -24,9 +24,10 @@ WideDeep::WideDeep(const data::Schema& schema, int64_t embed_dim,
 
 ag::Variable WideDeep::ConcatInput(const data::Batch& batch,
                                    bool per_candidate) {
-  constexpr FeatureEncoder::Extras kNone = FeatureEncoder::kNoExtras;
+  // seq_pooled is the only optional field Wide&Deep reads.
+  constexpr FeatureEncoder::Extras kPooled = FeatureEncoder::kPooled;
   if (per_candidate) {
-    FeatureEncoder::FieldEmbeddings f = encoder_->Encode(batch, kNone);
+    FeatureEncoder::FieldEmbeddings f = encoder_->Encode(batch, kPooled);
     return ag::ConcatCols(
         {f.user, f.seq_pooled, f.item, f.context, f.combine});
   }
@@ -36,9 +37,9 @@ ag::Variable WideDeep::ConcatInput(const data::Batch& batch,
   // Request side on R rows, candidate side on B rows; the gathers copy
   // rows, so the concat is the per-candidate one bit for bit.
   FeatureEncoder::FieldEmbeddings r =
-      encoder_->EncodeRequestSide(data::RequestBlock(batch), kNone);
+      encoder_->EncodeRequestSide(data::RequestBlock(batch), kPooled);
   FeatureEncoder::FieldEmbeddings c =
-      encoder_->EncodeCandidateSide(batch, kNone);
+      encoder_->EncodeCandidateSide(batch, kPooled);
   return ag::ConcatCols({ag::GatherRows(r.user, rows),
                          ag::GatherRows(r.seq_pooled, rows), c.item,
                          ag::GatherRows(r.context, rows), c.combine});

@@ -55,18 +55,17 @@ ag::Variable TargetAttention::Forward(const ag::Variable& query,
   return ag::Reshape(pooled, {batch, dim_});
 }
 
-ag::Variable TargetAttention::ForwardRequests(
-    const ag::Variable& query, const ag::Variable& keys, const Tensor& mask,
+Tensor TargetAttention::ForwardEval(
+    const Tensor& query, const Tensor& keys, const Tensor& mask,
     const std::vector<int32_t>& row_request) const {
-  const Tensor& q = query.value();
-  const Tensor& k = keys.value();
-  BASM_CHECK_EQ(q.rank(), 2);
-  BASM_CHECK_EQ(k.rank(), 3);
-  const int64_t batch = q.rows();
-  const int64_t requests = k.dim(0);
-  const int64_t t = k.dim(1);
-  BASM_CHECK_EQ(q.cols(), dim_);
-  BASM_CHECK_EQ(k.dim(2), dim_);
+  BASM_CHECK_EQ(query.rank(), 2);
+  BASM_CHECK_EQ(keys.rank(), 3);
+  const int64_t batch = query.rows();
+  const int64_t requests = keys.dim(0);
+  const int64_t t = keys.dim(1);
+  BASM_CHECK_EQ(query.cols(), dim_);
+  BASM_CHECK_EQ(keys.dim(2), dim_);
+  BASM_CHECK_GT(t, 0);
   BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), batch);
   BASM_CHECK_EQ(mask.rank(), 2);
   BASM_CHECK_EQ(mask.dim(0), requests);
@@ -75,30 +74,31 @@ ag::Variable TargetAttention::ForwardRequests(
   BASM_CHECK(score_net_->activation() == Activation::kLeakyRelu);
   BASM_CHECK_EQ(score_net_->layer(1).out_features(), 1);
 
-  // Split score layer 0's [4D, H] weight into its q, k and q*k blocks. The
-  // blocks are derived per call (3*D*H floats) rather than cached, so the
-  // shared eval model stays write-free.
+  // Score layer 0's [4D, H] weight holds the q, k, q-k and q*k blocks. The
+  // q and k blocks absorb the q-k block and are derived per call (2*D*H
+  // floats) rather than cached, so the shared eval model stays
+  // write-free; the q*k block is read in place.
   const Linear& first = score_net_->layer(0);
   const Tensor& w = first.weight().value();
   const int64_t h = w.cols();
+  const int64_t block = dim_ * h;
   Tensor w_q = Tensor::Uninitialized({dim_, h});
   Tensor w_k = Tensor::Uninitialized({dim_, h});
-  Tensor w_m = Tensor::Uninitialized({dim_, h});
-  for (int64_t i = 0; i < dim_ * h; ++i) {
-    const float w_diff = w[2 * dim_ * h + i];
+  for (int64_t i = 0; i < block; ++i) {
+    const float w_diff = w[2 * block + i];
     w_q[i] = w[i] + w_diff;
-    w_k[i] = w[dim_ * h + i] - w_diff;
-    w_m[i] = w[3 * dim_ * h + i];
+    w_k[i] = w[block + i] - w_diff;
   }
-  const Tensor q_term = ops::MatMulBias(q, w_q, &first.bias().value());
-  const Tensor k_term = ops::MatMul(k.Reshape({requests * t, dim_}), w_k);
+  const Tensor q_term = ops::MatMulBias(query, w_q, &first.bias().value());
+  Tensor k_term = Tensor::Uninitialized({requests * t, h});
+  ops::kernels::Gemm(keys.data(), w_k.data(), k_term.data(), requests * t,
+                     dim_, h);
 
-  // Per candidate x position: W_m (q*k) + q-term + k-term, then the rest of
-  // the score net.
+  // W_m (q*k) per candidate x position: one [B*T, D] x [D, H] product.
   Tensor qk = Tensor::Uninitialized({batch * t, dim_});
   for (int64_t b = 0; b < batch; ++b) {
-    const float* qb = q.data() + b * dim_;
-    const float* kr = k.data() + row_request[b] * t * dim_;
+    const float* qb = query.data() + b * dim_;
+    const float* kr = keys.data() + row_request[b] * t * dim_;
     float* out = qk.data() + b * t * dim_;
     for (int64_t j = 0; j < t; ++j) {
       for (int64_t d = 0; d < dim_; ++d) {
@@ -106,39 +106,71 @@ ag::Variable TargetAttention::ForwardRequests(
       }
     }
   }
-  const Tensor m_term = ops::MatMul(qk, w_m);  // [B*T, H]
+  Tensor m_term = Tensor::Uninitialized({batch * t, h});
+  ops::kernels::Gemm(qk.data(), w.data() + 3 * block, m_term.data(),
+                     batch * t, dim_, h);
 
-  // One pass per candidate x position: the three terms, the LeakyReLU
-  // (max(v, 0.01 v) is the same function, without a branch), score layer 1
-  // and the mask bias Forward adds before its softmax.
+  // One pass per candidate: per position the three terms, the LeakyReLU
+  // (max(v, 0.01 v), the same function without a branch), score layer 1
+  // and the mask bias Forward adds; then Forward's row softmax and the
+  // weighted pooling of the row's request window, [1, T] x [T, D].
   const Linear& second = score_net_->layer(1);
   const float* w1 = second.weight().value().data();  // [H, 1]
   const float b1 = second.bias().value()[0];
-  Tensor logits = Tensor::Uninitialized({batch, t});
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* qb = q_term.data() + b * h;
-    const float* mb = mask.data() + row_request[b] * t;
-    for (int64_t j = 0; j < t; ++j) {
-      const float* kj = k_term.data() + (row_request[b] * t + j) * h;
-      const float* mj = m_term.data() + (b * t + j) * h;
-      float score = 0.0f;
-      for (int64_t c = 0; c < h; ++c) {
-        const float v = mj[c] + (qb[c] + kj[c]);
-        score += std::max(v, 0.01f * v) * w1[c];
-      }
-      logits[b * t + j] = (score + b1) + (mb[j] > 0.5f ? 0.0f : -1e9f);
-    }
-  }
-  const Tensor weights = ops::RowSoftmax(logits);
-
-  // Weighted pooling of each row's request window: [1,T] x [T,D].
+  Tensor weights = Tensor::Uninitialized({t});
+  float* p = weights.data();
   Tensor pooled = Tensor::Uninitialized({batch, dim_});
   for (int64_t b = 0; b < batch; ++b) {
-    ops::kernels::Gemm(weights.data() + b * t,
-                       k.data() + row_request[b] * t * dim_,
+    const int64_t r = row_request[b];
+    const float* qb = q_term.data() + b * h;
+    const float* mr = mask.data() + r * t;
+    // Layer 1's input unit c at position j.
+    auto unit = [&](int64_t j, int64_t c) {
+      const float v = m_term[(b * t + j) * h + c] +
+                      (qb[c] + k_term[(r * t + j) * h + c]);
+      return std::max(v, 0.01f * v) * w1[c];
+    };
+    // Each score sums over c in order; four positions at a time keep four
+    // independent sums in flight.
+    {
+      int64_t j = 0;
+      for (; j + 4 <= t; j += 4) {
+        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+        for (int64_t c = 0; c < h; ++c) {
+          s0 += unit(j, c);
+          s1 += unit(j + 1, c);
+          s2 += unit(j + 2, c);
+          s3 += unit(j + 3, c);
+        }
+        p[j] = s0;
+        p[j + 1] = s1;
+        p[j + 2] = s2;
+        p[j + 3] = s3;
+      }
+      for (; j < t; ++j) {
+        float score = 0.0f;
+        for (int64_t c = 0; c < h; ++c) score += unit(j, c);
+        p[j] = score;
+      }
+    }
+    for (int64_t j = 0; j < t; ++j) {
+      p[j] = (p[j] + b1) + (mr[j] > 0.5f ? 0.0f : -1e9f);
+    }
+    // An empty window scores every position -1e9: uniform weights over
+    // the padding, as in Forward.
+    float mx = p[0];
+    for (int64_t j = 1; j < t; ++j) mx = std::max(mx, p[j]);
+    double denom = 0.0;
+    for (int64_t j = 0; j < t; ++j) {
+      p[j] = std::exp(p[j] - mx);
+      denom += p[j];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (int64_t j = 0; j < t; ++j) p[j] *= inv;
+    ops::kernels::Gemm(p, keys.data() + r * t * dim_,
                        pooled.data() + b * dim_, 1, t, dim_);
   }
-  return ag::Variable::Constant(std::move(pooled));
+  return pooled;
 }
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,
@@ -148,9 +180,12 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,
     q_proj_.push_back(std::make_unique<Linear>(dim, head_dim, rng, false));
     k_proj_.push_back(std::make_unique<Linear>(dim, head_dim, rng, false));
     v_proj_.push_back(std::make_unique<Linear>(dim, head_dim, rng, false));
-    RegisterModule("q" + std::to_string(h), q_proj_.back().get());
-    RegisterModule("k" + std::to_string(h), k_proj_.back().get());
-    RegisterModule("v" + std::to_string(h), v_proj_.back().get());
+    // A named suffix: GCC 12 at -O3 warns falsely (-Wrestrict) on
+    // "q" + std::to_string(h).
+    const std::string id = std::to_string(h);
+    RegisterModule("q" + id, q_proj_.back().get());
+    RegisterModule("k" + id, k_proj_.back().get());
+    RegisterModule("v" + id, v_proj_.back().get());
   }
   res_proj_ =
       std::make_unique<Linear>(dim, num_heads * head_dim, rng, false);

@@ -26,20 +26,18 @@ class TargetAttention : public Module {
                              const autograd::Variable& keys,
                              const Tensor& mask);
 
-  /// Request path: `keys` [R, T, dim] and `mask` [R, T] hold one behavior
-  /// window per request, `query` [B, dim] one candidate per row, and
-  /// `row_request` [B] names each row's request. The first score layer is
-  /// split by input block,
+  /// Graph-free eval forward (DESIGN §17): `keys` [R, T, dim] and `mask`
+  /// [R, T] hold one behavior window per request, `query` [B, dim] one
+  /// candidate per row, and `row_request` [B] names each row's request.
+  /// The first score layer is split by input block,
   ///     W[q; k; q-k; q*k] + b = ((W_q+W_d) q + b) + (W_k-W_d) k + W_m (q*k),
   /// so the key term runs once per request x position and only q*k once per
-  /// candidate x position. Equal to Forward up to float reassociation.
-  /// Inference only: the result is a constant, and last_weights() is left
-  /// alone.
-  autograd::Variable ForwardRequests(const autograd::Variable& query,
-                                     const autograd::Variable& keys,
-                                     const Tensor& mask,
-                                     const std::vector<int32_t>& row_request)
-      const;
+  /// candidate x position; score, mask, softmax and pooling then run in one
+  /// pass per candidate. Equal to Forward up to float reassociation. Returns
+  /// the pooled rows [B, dim]; last_weights() is left alone.
+  Tensor ForwardEval(const Tensor& query, const Tensor& keys,
+                     const Tensor& mask,
+                     const std::vector<int32_t>& row_request) const;
 
   /// Attention weights [B, T] of the last Forward (value only, for
   /// inspection).

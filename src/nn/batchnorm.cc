@@ -40,11 +40,6 @@ ag::Variable BatchNorm1d::Normalize(const ag::Variable& x) {
   const float eps = eps_;
   Tensor inv = ops::Map(running_var_, std::function<float(float)>(
       [eps](float v) { return 1.0f / std::sqrt(v + eps); }));
-  if (!ag::GradEnabled()) {
-    // Fused center+scale pass; same per-element op order as the chain below.
-    return ag::Variable::Constant(ops::CenterScaleRows(
-        x.value(), ops::Scale(running_mean_, -1.0f), inv));
-  }
   ag::Variable centered = ag::AddRowBroadcast(
       x, ag::Variable::Constant(ops::Scale(running_mean_, -1.0f)));
   return ag::MulRowBroadcast(centered, ag::Variable::Constant(inv));

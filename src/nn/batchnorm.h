@@ -30,6 +30,7 @@ class BatchNorm1d : public Module {
   const Tensor& running_var() const { return running_var_; }
 
   int64_t features() const { return features_; }
+  float eps() const { return eps_; }
 
  private:
   int64_t features_;

@@ -1,6 +1,8 @@
 #include "nn/dynamic.h"
 
 #include "nn/init.h"
+#include "tensor/kernels.h"
+#include "tensor/tensor_ops.h"
 
 namespace basm::nn {
 
@@ -49,33 +51,50 @@ LowRankMetaLinear::LowRankMetaLinear(int64_t cond_dim, int64_t in, int64_t out,
 
 ag::Variable LowRankMetaLinear::Forward(const ag::Variable& x,
                                         const ag::Variable& cond) const {
-  BASM_CHECK_EQ(cond.value().rows(), x.value().rows());
-  return Apply(x, core_gen_->Forward(cond), bias_gen_->Forward(cond));
-}
-
-ag::Variable LowRankMetaLinear::ForwardRequests(
-    const ag::Variable& x, const ag::Variable& cond,
-    const std::vector<int32_t>& row_request) const {
-  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), x.value().rows());
-  return Apply(x, ag::GatherRows(core_gen_->Forward(cond), row_request),
-               ag::GatherRows(bias_gen_->Forward(cond), row_request));
-}
-
-ag::Variable LowRankMetaLinear::Apply(const ag::Variable& x,
-                                      const ag::Variable& s_flat,
-                                      const ag::Variable& bias) const {
   BASM_CHECK_EQ(x.value().cols(), in_);
-  int64_t batch = x.value().rows();
-
+  const int64_t batch = x.value().rows();
+  BASM_CHECK_EQ(cond.value().rows(), batch);
   // h = x V: [B, r]
   ag::Variable h = ag::MatMul(x, v_);
   // core S[b]: [B, r, r] generated from the condition.
-  ag::Variable s3 = ag::Reshape(s_flat, {batch, rank_, rank_});
+  ag::Variable s3 = ag::Reshape(core_gen_->Forward(cond), {batch, rank_, rank_});
   ag::Variable h3 = ag::Reshape(h, {batch, rank_, 1});
   ag::Variable sh = ag::Reshape(ag::BatchedMatMul(s3, h3), {batch, rank_});
   // y = (S h) U + b
   ag::Variable y = ag::MatMul(sh, u_);
-  return ag::Add(y, bias);
+  return ag::Add(y, bias_gen_->Forward(cond));
+}
+
+Tensor LowRankMetaLinear::ForwardEval(
+    const Tensor& x, const Tensor& cond,
+    const std::vector<int32_t>& row_request) const {
+  BASM_CHECK_EQ(x.cols(), in_);
+  const int64_t batch = x.rows();
+  BASM_CHECK_EQ(static_cast<int64_t>(row_request.size()), batch);
+  // S_r and bias_r once per request.
+  const Tensor s = ops::MatMulBias(cond, core_gen_->weight().value(),
+                                   &core_gen_->bias().value());  // [R, r*r]
+  const Tensor bias = ops::MatMulBias(cond, bias_gen_->weight().value(),
+                                      &bias_gen_->bias().value());  // [R, out]
+  // Per row, the products Forward runs: h = x V, S_r h, (S_r h) U.
+  Tensor h = Tensor::Uninitialized({batch, rank_});
+  ops::kernels::Gemm(x.data(), v_.value().data(), h.data(), batch, in_,
+                     rank_);
+  Tensor sh = Tensor::Uninitialized({batch, rank_});
+  for (int64_t b = 0; b < batch; ++b) {
+    ops::kernels::Gemm(s.data() + row_request[b] * rank_ * rank_,
+                       h.data() + b * rank_, sh.data() + b * rank_, rank_,
+                       rank_, 1);
+  }
+  Tensor y = Tensor::Uninitialized({batch, out_});
+  ops::kernels::Gemm(sh.data(), u_.value().data(), y.data(), batch, rank_,
+                     out_);
+  for (int64_t b = 0; b < batch; ++b) {
+    float* yb = y.data() + b * out_;
+    const float* br = bias.data() + row_request[b] * out_;
+    for (int64_t c = 0; c < out_; ++c) yb[c] += br[c];
+  }
+  return y;
 }
 
 }  // namespace basm::nn

@@ -45,22 +45,17 @@ class LowRankMetaLinear : public Module {
   autograd::Variable Forward(const autograd::Variable& x,
                              const autograd::Variable& cond) const;
 
-  /// Request path: cond [R, cond_dim] holds one condition per request and
-  /// `row_request` [B] names each row's request, so the core and bias
-  /// generators run R times, not B. Values equal Forward on the broadcast
-  /// condition bit for bit.
-  autograd::Variable ForwardRequests(
-      const autograd::Variable& x, const autograd::Variable& cond,
-      const std::vector<int32_t>& row_request) const;
+  /// Graph-free eval forward: cond [R, cond_dim] holds one condition per
+  /// request and `row_request` [B] names each x row's request, so the core
+  /// and bias generators run once per request. Each row then runs
+  /// Forward's products on its request's S and bias, so values equal
+  /// Forward on the broadcast condition bit for bit: [B, out].
+  Tensor ForwardEval(const Tensor& x, const Tensor& cond,
+                     const std::vector<int32_t>& row_request) const;
 
   int64_t rank() const { return rank_; }
 
  private:
-  /// y = (S (x V)) U + bias with generated s_flat [B, r*r], bias [B, out].
-  autograd::Variable Apply(const autograd::Variable& x,
-                           const autograd::Variable& s_flat,
-                           const autograd::Variable& bias) const;
-
   int64_t in_;
   int64_t out_;
   int64_t rank_;

@@ -159,24 +159,6 @@ void ActivateInPlace(Tensor& t, Act act, float leaky_alpha) {
   }
 }
 
-Tensor CenterScaleRows(const Tensor& x, const Tensor& neg_mean,
-                       const Tensor& inv) {
-  BASM_CHECK_EQ(x.rank(), 2);
-  const int64_t n = BroadcastLen(neg_mean);
-  BASM_CHECK_EQ(x.cols(), n);
-  BASM_CHECK_EQ(BroadcastLen(inv), n);
-  Tensor out = Tensor::Uninitialized(x.shape());
-  const float* nm = neg_mean.data();
-  const float* iv = inv.data();
-  for (int64_t i = 0; i < x.rows(); ++i) {
-    const float* xr = x.data() + i * n;
-    float* o = out.data() + i * n;
-    // Exactly the AddRowBroadcast-then-MulRowBroadcast chain, one pass.
-    for (int64_t j = 0; j < n; ++j) o[j] = (xr[j] + nm[j]) * iv[j];
-  }
-  return out;
-}
-
 Tensor BatchNormInference(const Tensor& x, const Tensor& neg_mean,
                           const Tensor& inv, const Tensor& gamma,
                           const Tensor& beta) {

@@ -51,10 +51,6 @@ void MulRowBroadcastInPlace(Tensor& a, const Tensor& b);
 /// t = act(t) elementwise, in place.
 void ActivateInPlace(Tensor& t, Act act, float leaky_alpha = 0.01f);
 
-/// (x + neg_mean) * inv, rows broadcast — the eval-mode BatchNorm normalize
-/// chain in one pass. neg_mean/inv are [n] or [1,n].
-Tensor CenterScaleRows(const Tensor& x, const Tensor& neg_mean,
-                       const Tensor& inv);
 /// ((x + neg_mean) * inv) * gamma + beta — the full eval-mode BatchNorm
 /// forward in one pass.
 Tensor BatchNormInference(const Tensor& x, const Tensor& neg_mean,

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -23,6 +24,8 @@
 #include "models/wide_deep.h"
 #include "serving/pipeline.h"
 #include "serving/recall.h"
+#include "tensor/arena.h"
+#include "tensor/kernels.h"
 #include "train/trainer.h"
 
 namespace basm::core {
@@ -416,6 +419,137 @@ TEST_F(RequestScoringTest, GatherRowsBackwardScatterAdds) {
   EXPECT_EQ(a.grad().at(0, 0), 1.0f);
   EXPECT_EQ(a.grad().at(1, 0), 0.0f);
   EXPECT_EQ(a.grad().at(2, 1), 2.0f);
+}
+
+// BASM's graph-free eval forward against the per-candidate reference
+// graph, on models trained three epochs, so the BN running statistics, the
+// biases and the generator outputs are far from their initial values.
+class BasmEvalTest : public RequestScoringTest {
+ protected:
+  static void SetUpTestSuite() {
+    RequestScoringTest::SetUpTestSuite();
+    Rng rng(8);
+    requests_ = new std::vector<std::vector<data::Example>>(
+        MixedWindowRequests(256, rng));
+  }
+  static void TearDownTestSuite() {
+    delete requests_;
+    RequestScoringTest::TearDownTestSuite();
+  }
+
+  static std::vector<std::vector<data::Example>>* requests_;
+};
+
+std::vector<std::vector<data::Example>>* BasmEvalTest::requests_ = nullptr;
+
+TEST_F(BasmEvalTest, MatchesReferenceUnderEveryBackendAndBatching) {
+  // Pairs whose reference probabilities differ by more than this keep their
+  // order; closer pairs are near-ties, counted but not asserted.
+  constexpr float kTieGap = 2e-6f;
+  std::vector<ops::kernels::Backend> backends = {
+      ops::kernels::Backend::kReference, ops::kernels::Backend::kBlocked};
+  if (ops::kernels::Avx2Available()) {
+    backends.push_back(ops::kernels::Backend::kAvx2);
+  }
+  const std::vector<std::vector<data::Example>>& requests = *requests_;
+  for (const BasmConfig& config : AllConfigs()) {
+    std::unique_ptr<Basm> model = EvalModel(config, /*epochs=*/3);
+    for (ops::kernels::Backend backend : backends) {
+      ops::kernels::ScopedBackend scoped(backend);
+      float max_dp = 0.0f;
+      int64_t ordered_pairs = 0;
+      int64_t near_tie_flips = 0;
+      for (size_t r = 0; r < requests.size(); r += 4) {
+        data::Batch batch = BatchOf({&requests[r], &requests[r + 1],
+                                     &requests[r + 2], &requests[r + 3]});
+        const std::vector<float> reference =
+            Probs(model->ForwardLogitsReference(batch));
+        const std::vector<float> together = Probs(model->ForwardLogits(batch));
+        for (int32_t q = 0; q < 4; ++q) {
+          // One request per batch, scored as a server scores it.
+          std::vector<float> alone;
+          {
+            ag::NoGradGuard no_grad;
+            alone = Probs(model->ForwardLogits(BatchOf({&requests[r + q]})));
+          }
+          const float* ref = reference.data() + q * kCandidates;
+          for (int32_t i = 0; i < kCandidates; ++i) {
+            ASSERT_EQ(alone[i], together[q * kCandidates + i])
+                << model->name() << " request " << r + q << " row " << i;
+            max_dp = std::max(max_dp, std::abs(alone[i] - ref[i]));
+          }
+          for (int32_t i = 0; i < kCandidates; ++i) {
+            for (int32_t j = i + 1; j < kCandidates; ++j) {
+              const bool ref_before = ref[i] > ref[j];
+              const bool eval_before = alone[i] > alone[j];
+              if (std::abs(ref[i] - ref[j]) > kTieGap) {
+                ++ordered_pairs;
+                ASSERT_EQ(eval_before, ref_before)
+                    << model->name() << " request " << r + q << " rows " << i
+                    << ", " << j;
+              } else if (eval_before != ref_before &&
+                         (alone[i] != alone[j] || ref[i] != ref[j])) {
+                ++near_tie_flips;
+              }
+            }
+          }
+        }
+      }
+      std::printf(
+          "[ eval forward ] %-18s %-9s max |dp| = %.3g, %lld ordered pairs, "
+          "%lld near-tie flips\n",
+          model->name().c_str(), ops::kernels::BackendName(backend), max_dp,
+          static_cast<long long>(ordered_pairs),
+          static_cast<long long>(near_tie_flips));
+      EXPECT_LE(max_dp, kTolerance) << model->name();
+    }
+  }
+}
+
+TEST_F(BasmEvalTest, SharedModelScoresBitIdenticallyAcrossThreads) {
+  // Engine workers score through one shared eval model under NoGradGuard,
+  // each in its own arena: the eval forward must write nothing shared.
+  std::unique_ptr<Basm> model = EvalModel(BasmConfig::Full(), /*epochs=*/3);
+  const std::vector<std::vector<data::Example>>& requests = *requests_;
+  std::vector<std::vector<float>> serial;
+  for (const auto& request : requests) {
+    serial.push_back(model->PredictProbs(BatchOf({&request})));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<float>>> scored(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      ag::NoGradGuard no_grad;
+      ArenaScope arena;
+      for (size_t r = w; r < requests.size(); r += kThreads) {
+        scored[w].push_back(model->PredictProbs(BatchOf({&requests[r]})));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int w = 0; w < kThreads; ++w) {
+    for (size_t k = 0; k < scored[w].size(); ++k) {
+      ASSERT_EQ(scored[w][k], serial[w + k * kThreads])
+          << "thread " << w << " request " << w + k * kThreads;
+    }
+  }
+}
+
+TEST_F(BasmEvalTest, AlphasRecordedWithGradientsOnly) {
+  Rng rng(9);
+  std::vector<data::Example> a = FreshRequest(11, 1, rng);
+  std::vector<data::Example> b = FreshRequest(12, 2, rng);
+  std::unique_ptr<Basm> model = EvalModel(BasmConfig::Full());
+  model->ForwardLogits(BatchOf({&a, &b}));
+  const Tensor recorded = model->last_alphas();
+  ASSERT_EQ(recorded.rows(), 2 * kCandidates);
+  ASSERT_EQ(recorded.cols(), 5);
+  {
+    ag::NoGradGuard no_grad;
+    model->ForwardLogits(BatchOf({&b}));
+  }
+  ExpectSameBits(model->last_alphas(), recorded, "alphas after a guarded forward");
 }
 
 }  // namespace
